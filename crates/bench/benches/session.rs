@@ -3,8 +3,9 @@
 //! build, a contended multi-thread hit path, a skewed batch, a
 //! heterogeneous `submit_all` mix riding the persistent job pool, the
 //! composite variation sweep, 1000-die repair-lot, and 64-bit adder
-//! macro workloads (cold, cached, and the SAT-solver escalation), plus
-//! the MNA engine's cold transient and characterization-sweep workloads.
+//! macro workloads (cold, cached, fresh-seed on a warm session, and the
+//! SAT-solver escalation), plus the MNA engine's cold transient and
+//! characterization-sweep workloads.
 //! This is the baseline future perf PRs (sharding, async serving) must
 //! not regress; CI gates the `cached_*`/`contended_*`/`mixed_batch_*`/
 //! `macro_cla64_cached`/`repair_1000_dies_cached`/`sweep_grid_cached*`/
@@ -314,6 +315,15 @@ fn main() {
     warm_macro.run(&cla64).unwrap();
     h.bench("macro_cla64_cached", 200, || {
         warm_macro.run(&cla64).unwrap()
+    });
+    // Steady state of a characterization service (informational): a
+    // warm session, a fresh seed per iteration. Every slice executes,
+    // but only its output-buffer characterization point is new — the
+    // internal-stage points and the assembled shape are hits.
+    let mut seed = 0xB0BBA;
+    h.bench("macro_cla64_fresh_seed", 10, || {
+        seed += 1;
+        warm_macro.run(&cla64.clone().seed(seed)).unwrap()
     });
 
     // SAT fallback: the same defect mix under adjacency constraints, so

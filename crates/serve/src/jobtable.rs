@@ -3,9 +3,12 @@
 //!
 //! A submit enqueues the request on the session's non-blocking pool
 //! ([`Session::submit`](cnfet::Session::submit)) and records the returned
-//! [`JobHandle`] under a fresh id. Polling a job
-//! harvests the handle at most once and caches the rendered outcome, so
-//! repeated `GET`s are cheap and always agree.
+//! [`JobHandle`] under a fresh id. The executing worker renders the
+//! outcome as the job completes
+//! ([`Session::submit_then`](cnfet::Session::submit_then)) and finishes
+//! the job's [`Progress`] with it; polling a job settles the entry from
+//! that rendering (or, for a job canceled unrun, harvests the handle)
+//! at most once, so repeated `GET`s are cheap and always agree.
 //!
 //! Ids are handed out sequentially, which is what lets the table answer
 //! *expired* distinctly from *never existed*: an absent id below the
@@ -142,18 +145,25 @@ impl Progress {
     }
 
     /// Marks the job settled, back-filling any rows the observer never
-    /// saw (a whole-report cache hit skips execution entirely).
-    fn finish(&self, rows: Option<Vec<StreamRow>>, view: JobView) {
+    /// saw (a whole-report cache hit skips execution entirely). The
+    /// first terminal view wins; returns the one in force.
+    fn finish(&self, rows: Option<Vec<StreamRow>>, view: JobView) -> JobView {
         let mut state = self.state.lock().expect("progress lock");
-        if state.finished.is_some() {
-            return;
+        if let Some(finished) = &state.finished {
+            return finished.clone();
         }
         if let Some(rows) = rows {
             let seen = state.rows.len();
             state.rows.extend(rows.into_iter().skip(seen));
         }
-        state.finished = Some(view);
+        state.finished = Some(view.clone());
         self.cv.notify_all();
+        view
+    }
+
+    /// The terminal view, once settled.
+    fn finished(&self) -> Option<JobView> {
+        self.state.lock().expect("progress lock").finished.clone()
     }
 
     /// Rows past `seen` plus the terminal view once settled; blocks up
@@ -349,7 +359,15 @@ impl JobTable {
         inner.pending += 1;
         // Submit while holding the table lock so a concurrent poll of
         // this id can never observe the id before the handle exists.
-        let handle = session.submit(request);
+        // The worker settles the progress itself as the job completes,
+        // so a `/stream` handler blocked in `Progress::wait` wakes at
+        // once instead of at its next poll.
+        let feed = Arc::downgrade(&progress);
+        let handle = session.submit_then(request, move |result| {
+            if let Some(progress) = feed.upgrade() {
+                progress.finish(backfill_rows(result), settle(result));
+            }
+        });
         inner.jobs.insert(
             id,
             JobEntry {
@@ -403,10 +421,16 @@ impl JobTable {
                 let mut settled_now = false;
                 let mut expired_now = false;
                 if let JobState::Pending(handle) = &mut entry.state {
-                    if let Some(result) = handle.try_get() {
-                        let rows = backfill_rows(&result);
-                        let view = settle(result);
-                        entry.progress.finish(rows, view.clone());
+                    // The completion hook settles the progress on the
+                    // worker; only a job canceled unrun resolves through
+                    // its handle alone.
+                    let progress = &entry.progress;
+                    let resolved = progress.finished().or_else(|| {
+                        handle
+                            .try_get()
+                            .map(|result| progress.finish(backfill_rows(&result), settle(&result)))
+                    });
+                    if let Some(view) = resolved {
                         entry.state = JobState::Settled(view);
                         entry.settled_at = Some(now);
                         settled_now = true;
@@ -414,8 +438,8 @@ impl JobTable {
                         // The handle never resolved within the pending
                         // cap: settle canceled so the entry — and its
                         // slice of capacity — stops leaking.
-                        entry.progress.finish(None, JobView::Canceled);
-                        entry.state = JobState::Settled(JobView::Canceled);
+                        let view = entry.progress.finish(None, JobView::Canceled);
+                        entry.state = JobState::Settled(view);
                         entry.settled_at = Some(now);
                         entry.counted_expired = true;
                         settled_now = true;
@@ -482,16 +506,13 @@ impl JobTable {
                 // A job that somehow fails to resolve within the window is
                 // reported canceled — shutdown must terminate.
                 let (view, rows) = match handle.wait_timeout(Duration::from_secs(60)) {
-                    Some(result) => {
-                        let rows = backfill_rows(&result);
-                        (settle(result), rows)
-                    }
+                    Some(result) => (settle(&result), backfill_rows(&result)),
                     None => (JobView::Canceled, None),
                 };
+                let view = entry.progress.finish(rows, view);
                 if view == JobView::Canceled {
                     canceled += 1;
                 }
-                entry.progress.finish(rows, view.clone());
                 entry.state = JobState::Settled(view);
                 entry.settled_at = Some(now);
             }
@@ -511,8 +532,8 @@ impl Inner {
             if matches!(entry.state, JobState::Pending(_))
                 && now.duration_since(entry.created) >= pending_ttl
             {
-                entry.progress.finish(None, JobView::Canceled);
-                entry.state = JobState::Settled(JobView::Canceled);
+                let view = entry.progress.finish(None, JobView::Canceled);
+                entry.state = JobState::Settled(view);
                 entry.settled_at = Some(now);
                 entry.counted_expired = true;
                 self.pending -= 1;
@@ -571,12 +592,12 @@ fn backfill_rows(result: &Result<ResponseKind, CnfetError>) -> Option<Vec<Stream
 }
 
 /// Renders a resolved job outcome once; polls replay the rendering.
-fn settle(result: Result<ResponseKind, CnfetError>) -> JobView {
+fn settle(result: &Result<ResponseKind, CnfetError>) -> JobView {
     match result {
-        Ok(response) => JobView::Done(wire::render_response(&response)),
+        Ok(response) => JobView::Done(wire::render_response(response)),
         Err(CnfetError::Canceled) => JobView::Canceled,
         Err(error) => {
-            let (status, body) = wire::error_response(&error);
+            let (status, body) = wire::error_response(error);
             JobView::Failed(status, body)
         }
     }

@@ -755,8 +755,9 @@ fn stream_job(stream: &mut TcpStream, shared: &Shared, id: u64, format: Format) 
     }
     let mut seen = 0usize;
     loop {
-        // Polling drives settlement (the job's handle is harvested under
-        // the table lock); waiting drains the row feed.
+        // The worker finishes the progress as the job completes, so the
+        // wait wakes on the terminal view as promptly as on a row;
+        // polling settles the table entry (and any job canceled unrun).
         let _ = shared.jobs.poll(id);
         let (rows, finished) = progress.wait(seen, READ_POLL);
         for (offset, row) in rows.iter().enumerate() {

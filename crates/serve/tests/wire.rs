@@ -606,6 +606,39 @@ fn shutdown_refuses_new_connections() {
     assert!(after.is_err(), "no server behind the address anymore");
 }
 
+/// The terminal event of a streamed job follows its last row at once:
+/// the worker finishes the job's progress as the job completes, so a
+/// stream handler waiting on the feed never sleeps out its poll interval
+/// (the server's 200 ms `READ_POLL`) between the last row and `done`.
+#[test]
+fn streamed_terminal_events_do_not_trail_their_last_row() {
+    const READ_POLL: Duration = Duration::from_millis(200);
+    let server = server();
+    let mut client = Client::new(server.addr());
+    let mut worst = Duration::ZERO;
+    for seed in 0..24 {
+        let mut last_row = None;
+        let mut done_at = None;
+        client
+            .submit_and_stream(&small_sweep(1000 + seed), Format::Json, |event| {
+                let now = std::time::Instant::now();
+                match event {
+                    StreamEvent::Row { .. } => last_row = Some(now),
+                    StreamEvent::Done(_) => done_at = Some(now),
+                    _ => {}
+                }
+            })
+            .unwrap();
+        let (last_row, done_at) = (last_row.expect("rows"), done_at.expect("done"));
+        worst = worst.max(done_at - last_row);
+    }
+    assert!(
+        worst < READ_POLL,
+        "a terminal event trailed its last row by {worst:?}"
+    );
+    server.shutdown();
+}
+
 #[test]
 fn streamed_sweep_matches_the_buffered_report() {
     let server = server();
@@ -1464,6 +1497,33 @@ fn macro_slices_stream_and_subcells_memoize() {
         class_stat(&stats, "macros", "misses") > macro_misses,
         "the second macro was not a whole-report replay"
     );
+    server.shutdown();
+}
+
+/// Characterization points surface as the `chars` class of
+/// `/v1/stats`: two fresh-seed CLA-8 macros characterize 8 slices × 3
+/// stage points each, and only the first macro's two internal-stage
+/// points plus every slice's output-buffer point execute.
+#[test]
+fn characterization_points_memoize_across_macros_over_the_wire() {
+    let server = server();
+    let mut client = Client::new(server.addr());
+    for seed in [3, 4] {
+        client
+            .request("POST", "/v1/run")
+            .body(&adder_macro("cla", 8, seed))
+            .send()
+            .unwrap()
+            .expect_status(200);
+    }
+    let stats = client
+        .request("GET", "/v1/stats")
+        .send()
+        .unwrap()
+        .expect_status(200);
+    assert_eq!(class_stat(&stats, "chars", "misses"), 2 + 2 * 8);
+    assert_eq!(class_stat(&stats, "chars", "hits"), 2 * 3 * 8 - (2 + 2 * 8));
+    assert_eq!(class_stat(&stats, "chars", "entries"), 2 + 2 * 8);
     server.shutdown();
 }
 

@@ -22,13 +22,25 @@
 //! [`SliceOutcome`]s — plus the placed/assembled hierarchy — into a
 //! [`MacroReport`].
 //!
-//! Memoization works at **three** granularities: the whole report and
-//! each bit slice in the [`RequestClass::Macros`](crate::RequestClass)
-//! cache, and the full-adder's cell mix in the `Cell` class — a second
-//! macro over the same cells (any width, any kind) re-executes zero cell
-//! generations. Slice keys include the macro width: a CLA bit's carry
-//! fan-out depends on where the prefix tree puts it, so bit 3 of an
-//! 8-bit adder and bit 3 of a 64-bit adder are *not* the same work.
+//! Memoization works at **five** granularities:
+//!
+//! * the whole report, each bit slice, and each macro *shape* (kind ×
+//!   width × scheme: placement, SPICE, GDS) in the
+//!   [`RequestClass::Macros`](crate::RequestClass) cache — every seed of
+//!   one shape shares one assembled hierarchy, down to the same
+//!   `Arc`-held artifact bytes;
+//! * each characterization point (cell, strength, corner, load) in the
+//!   [`RequestClass::Chars`](crate::RequestClass) cache — a slice's two
+//!   internal stages sit at the same load in every slice of every macro,
+//!   so after the first slice only the output buffer's point executes;
+//! * the full-adder's cell mix in the `Cell` class — a second macro over
+//!   the same cells (any width, any kind) re-executes zero cell
+//!   generations.
+//!
+//! Slice keys include the macro width: a CLA bit's carry fan-out depends
+//! on where the prefix tree puts it, so bit 3 of an 8-bit adder and bit
+//! 3 of a 64-bit adder are *not* the same work. Every memoized result is
+//! exact and deterministic, so reuse changes no output bit.
 //!
 //! # Example
 //!
@@ -223,6 +235,26 @@ pub struct MacroSliceRequest {
     pub seed: u64,
 }
 
+/// One macro shape's hierarchy assembly — the seed-free half of a
+/// macro, memoized once per (kind, width, scheme) in the
+/// [`RequestClass::Macros`](crate::RequestClass) cache.
+#[derive(Debug)]
+pub(crate) struct MacroShapeRequest {
+    pub(crate) kind: AdderKind,
+    pub(crate) width: u32,
+    pub(crate) scheme: Scheme,
+}
+
+/// One characterization point: `cell`'s first-input arc at one load and
+/// corner, memoized in the [`RequestClass::Chars`](crate::RequestClass)
+/// cache. The key holds exactly what characterization reads (see the
+/// `CharPoint` cache key).
+pub(crate) struct CharPointRequest<'a> {
+    pub(crate) cell: &'a LibCell,
+    pub(crate) load_f: f64,
+    pub(crate) corner: CharCorner,
+}
+
 // ---------------------------------------------------------------------------
 // Results
 // ---------------------------------------------------------------------------
@@ -267,10 +299,25 @@ pub struct MacroReport {
     /// Full-adder sub-cell references in the top cell (one per bit).
     pub fa_instances: usize,
     /// Structural SPICE deck of the hierarchy (one `.subckt
-    /// full_adder`, referenced per slice).
-    pub spice: String,
-    /// Two-deep GDSII stream of the placed hierarchy.
-    pub gds: Vec<u8>,
+    /// full_adder`, referenced per slice). Shared by every report of the
+    /// same shape.
+    pub spice: Arc<str>,
+    /// Two-deep GDSII stream of the placed hierarchy. Shared by every
+    /// report of the same shape.
+    pub gds: Arc<[u8]>,
+}
+
+/// The assembled hierarchy of one macro shape: everything a
+/// [`MacroReport`] carries that does not depend on the seed.
+#[derive(Debug)]
+pub(crate) struct MacroShape {
+    /// Carry-path stage depth of the shape's plan.
+    carry_depth: u32,
+    area_l2: f64,
+    gate_count: usize,
+    fa_instances: usize,
+    spice: Arc<str>,
+    gds: Arc<[u8]>,
 }
 
 impl MacroReport {
@@ -376,34 +423,54 @@ pub(crate) fn execute_macro(request: &MacroRequest, session: &Session) -> Result
         slices.push(outcome);
     }
 
-    // Compose, place and assemble the hierarchy (the library build is a
-    // Library-class hit after the slices warmed the cell cache).
-    let adder = MacroAdder::new(request.kind, request.width);
-    let lib = session.run(&LibraryRequest::new(request.scheme))?;
-    let placement = place_macro(&adder, &lib);
-    let gds = assemble_macro_gds(&adder, &placement, &lib);
-    let spice = adder.to_spice();
-
-    let critical_path_s = critical_path(request.kind, &adder.plan, &slices);
+    // The seed-free hierarchy is assembled once per shape; every later
+    // macro of that shape shares its artifacts.
+    let shape = session.run(&MacroShapeRequest {
+        kind: request.kind,
+        width: request.width,
+        scheme: request.scheme,
+    })?;
+    let critical_path_s = critical_path(request.kind, shape.carry_depth, &slices);
     Ok(Arc::new(MacroReport {
         kind: request.kind,
         width: request.width,
         scheme: request.scheme,
         slices,
         critical_path_s,
+        area_l2: shape.area_l2,
+        gate_count: shape.gate_count,
+        fa_instances: shape.fa_instances,
+        spice: shape.spice.clone(),
+        gds: shape.gds.clone(),
+    }))
+}
+
+/// Composes, places and assembles one macro shape's hierarchy against
+/// the scheme's library (itself memoized, and built from the cells the
+/// slices already recalled).
+pub(crate) fn execute_shape(
+    request: &MacroShapeRequest,
+    session: &Session,
+) -> Result<Arc<MacroShape>> {
+    let adder = MacroAdder::new(request.kind, request.width);
+    let lib = session.run(&LibraryRequest::new(request.scheme))?;
+    let placement = place_macro(&adder, &lib);
+    let gds = assemble_macro_gds(&adder, &placement, &lib);
+    Ok(Arc::new(MacroShape {
+        carry_depth: adder.plan.carry_depth(),
         area_l2: placement.area_l2,
         gate_count: adder.gate_count(),
         fa_instances: placement.slices.len(),
-        spice,
-        gds,
+        spice: adder.to_spice().into(),
+        gds: gds.into(),
     }))
 }
 
 /// The macro's critical carry path from the harvested slice delays:
 /// ripple chains every carry arc and exits through the last sum; CLA
-/// pays the plan's stage depth at the worst carry arc plus the worst
-/// sum arc.
-fn critical_path(kind: AdderKind, plan: &AdderPlan, slices: &[SliceOutcome]) -> f64 {
+/// pays the plan's stage depth (`carry_depth`) at the worst carry arc
+/// plus the worst sum arc.
+fn critical_path(kind: AdderKind, carry_depth: u32, slices: &[SliceOutcome]) -> f64 {
     let worst = |f: fn(&SliceOutcome) -> f64| slices.iter().map(f).fold(0.0f64, f64::max);
     match kind {
         AdderKind::Ripple => {
@@ -411,16 +478,17 @@ fn critical_path(kind: AdderKind, plan: &AdderPlan, slices: &[SliceOutcome]) -> 
             chain + slices.last().map_or(0.0, |s| s.sum_delay_s)
         }
         AdderKind::Cla => {
-            f64::from(plan.carry_depth()) * worst(|s| s.carry_delay_s) + worst(|s| s.sum_delay_s)
+            f64::from(carry_depth) * worst(|s| s.carry_delay_s) + worst(|s| s.sum_delay_s)
         }
     }
 }
 
 /// Executes one bit slice: generate (or recall) the full adder's cell
 /// mix through the session cell cache, then characterize the sum and
-/// carry arcs at the slice's seeded wire load on the MNA engine (whose
-/// process-wide `PatternCache` makes repeated same-cell transients skip
-/// symbolic re-analysis).
+/// carry arcs at the slice's seeded wire load. Each stage delay is a
+/// `Chars`-class characterization point: the internal stages' points
+/// repeat in every slice and hit; only the output buffer's point at the
+/// slice's own load runs a transient on the MNA engine.
 pub(crate) fn execute_slice(
     request: &MacroSliceRequest,
     session: &Session,
@@ -439,33 +507,27 @@ pub(crate) fn execute_slice(
     let load_f = 2.0e-15 * (1.0 + 0.25 * jitter) * (1.0 + 0.15 * f64::from(fanout));
 
     let kit = session.kit();
-    let opts = dk::library_options(kit, request.scheme);
-    let mut lib_cells = Vec::with_capacity(FA_CELL_MIX.len());
-    for (kind, strength) in FA_CELL_MIX {
-        let req = CellRequest {
-            kind,
-            strength,
-            options: Some(opts.clone()),
-            name: Some(CellLibrary::cell_name(kind, strength)),
-        };
-        let cell = session.run(&req)?.cell;
-        lib_cells.push(LibCell::from_layout(
-            kit,
-            kind,
-            strength,
-            cell,
-            kit.tubes_per_4lambda,
-        ));
-    }
+    let lib_cells = FA_CELL_MIX
+        .into_iter()
+        .map(|(kind, strength)| lib_cell(session, request.scheme, kind, strength))
+        .collect::<Result<Vec<LibCell>>>()?;
     let (nand, inv4, inv9) = (&lib_cells[0], &lib_cells[1], &lib_cells[3]);
 
     // Internal stages drive gate pins; the output buffers drive the
     // slice's wire load.
     let internal_f = (2.0 * nand.input_cap_f).min(load_f);
     let corner = CharCorner::nominal(kit);
-    let d_nand = dk::characterize_cell_at(kit, nand, &[internal_f], corner)?.delay_at(internal_f);
-    let d_inv4 = dk::characterize_cell_at(kit, inv4, &[internal_f], corner)?.delay_at(internal_f);
-    let d_inv9 = dk::characterize_cell_at(kit, inv9, &[load_f], corner)?.delay_at(load_f);
+    let delay = |cell: &LibCell, load_f: f64| -> Result<f64> {
+        let point = CharPointRequest {
+            cell,
+            load_f,
+            corner,
+        };
+        Ok(session.run(&point)?.delay_at(load_f))
+    };
+    let d_nand = delay(nand, internal_f)?;
+    let d_inv4 = delay(inv4, internal_f)?;
+    let d_inv9 = delay(inv9, load_f)?;
 
     // Stage counts of the nine-NAND2 core: the sum arc crosses six NAND
     // stages (a→s1→s2→axb→s5→s6→sum_raw), the carry arc five
@@ -480,9 +542,30 @@ pub(crate) fn execute_slice(
     })
 }
 
+/// One library cell of the session's kit, its layout generated (or
+/// recalled) through the session cell cache under the library's name.
+fn lib_cell(session: &Session, scheme: Scheme, kind: StdCellKind, strength: u8) -> Result<LibCell> {
+    let kit = session.kit();
+    let req = CellRequest {
+        kind,
+        strength,
+        options: Some(dk::library_options(kit, scheme)),
+        name: Some(CellLibrary::cell_name(kind, strength)),
+    };
+    let layout = session.run(&req)?.cell;
+    Ok(LibCell::from_layout(
+        kit,
+        kind,
+        strength,
+        layout,
+        kit.tubes_per_4lambda,
+    ))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::request::SessionRequest;
 
     fn outcome(bit: u32, carry: f64, sum: f64) -> SliceOutcome {
         SliceOutcome {
@@ -496,18 +579,18 @@ mod tests {
 
     #[test]
     fn ripple_critical_path_chains_carries() {
-        let plan = AdderPlan::new(AdderKind::Ripple, 8);
+        let depth = AdderPlan::new(AdderKind::Ripple, 8).carry_depth();
         let slices: Vec<SliceOutcome> = (0..8).map(|b| outcome(b, 1e-12, 3e-12)).collect();
-        let path = critical_path(AdderKind::Ripple, &plan, &slices);
+        let path = critical_path(AdderKind::Ripple, depth, &slices);
         assert!((path - (8.0 * 1e-12 + 3e-12)).abs() < 1e-18);
     }
 
     #[test]
     fn cla_critical_path_scales_with_depth_not_width() {
-        let plan = AdderPlan::new(AdderKind::Cla, 64);
+        let depth = AdderPlan::new(AdderKind::Cla, 64).carry_depth();
         let slices: Vec<SliceOutcome> = (0..64).map(|b| outcome(b, 1e-12, 3e-12)).collect();
-        let path = critical_path(AdderKind::Cla, &plan, &slices);
-        let depth = f64::from(plan.carry_depth());
+        let path = critical_path(AdderKind::Cla, depth, &slices);
+        let depth = f64::from(depth);
         assert!((path - (depth * 1e-12 + 3e-12)).abs() < 1e-18);
         assert!(path < 64.0 * 1e-12, "CLA beats the ripple chain");
     }
@@ -518,6 +601,75 @@ mod tests {
         let text = err.to_string();
         assert!(text.contains("width"), "{text}");
         assert!(text.contains("expected one of 8|32|64"), "{text}");
+    }
+
+    /// The characterization-point key is complete: changing any one of
+    /// its fields — kind, strength, either corner field, load — changes
+    /// the measured delay, so no two distinct measurements can share an
+    /// entry; and each memoized value is bit-identical to a direct
+    /// `characterize_cell_at` call.
+    #[test]
+    fn every_char_point_key_field_changes_the_measurement() {
+        let session = Session::new();
+        let kit = session.kit();
+        let cell = |kind, strength| lib_cell(&session, Scheme::Scheme2, kind, strength).unwrap();
+        let nand2 = cell(StdCellKind::Nand(2), 2);
+        let inv2 = cell(StdCellKind::Inv, 2);
+        let nand4 = cell(StdCellKind::Nand(2), 4);
+        let nominal = CharCorner::nominal(kit);
+        let load = 2.0 * nand2.input_cap_f;
+        let point = |cell, load_f, corner| CharPointRequest {
+            cell,
+            load_f,
+            corner,
+        };
+        let base = point(&nand2, load, nominal);
+        let variants = [
+            ("kind", point(&inv2, load, nominal)),
+            ("strength", point(&nand4, load, nominal)),
+            (
+                "tubes_per_4lambda",
+                point(
+                    &nand2,
+                    load,
+                    CharCorner {
+                        tubes_per_4lambda: nominal.tubes_per_4lambda / 2,
+                        ..nominal
+                    },
+                ),
+            ),
+            (
+                "pitch_scale",
+                point(
+                    &nand2,
+                    load,
+                    CharCorner {
+                        pitch_scale: 0.8,
+                        ..nominal
+                    },
+                ),
+            ),
+            ("load", point(&nand2, 2.0 * load, nominal)),
+        ];
+        let measure = |p: &CharPointRequest<'_>| {
+            let memoized = session.run(p).unwrap();
+            let direct = dk::characterize_cell_at(kit, p.cell, &[p.load_f], p.corner).unwrap();
+            assert_eq!(memoized.delays_s[0].to_bits(), direct.delays_s[0].to_bits());
+            assert_eq!(memoized.energy_j.to_bits(), direct.energy_j.to_bits());
+            memoized.delays_s[0]
+        };
+        let base_delay = measure(&base);
+        for (field, variant) in &variants {
+            assert_ne!(
+                variant.cache_key(&session),
+                base.cache_key(&session),
+                "{field} is keyed"
+            );
+            assert_ne!(measure(variant), base_delay, "{field} moves the delay");
+        }
+        let chars = session.stats().chars;
+        assert_eq!(chars.misses, 1 + variants.len() as u64);
+        assert_eq!(chars.hits, 0);
     }
 
     #[test]
@@ -532,7 +684,7 @@ mod tests {
             gate_count: 120,
             fa_instances: 8,
             spice: "* deck\n".into(),
-            gds: vec![0; 16],
+            gds: vec![0; 16].into(),
         };
         let text = report.render();
         assert_eq!(text, report.render());

@@ -39,7 +39,10 @@ use crate::flow::{
     simulate_netlist_with, Tech,
 };
 use crate::immunity::{certify, simulate};
-use crate::macros::{MacroReport, MacroRequest, MacroSliceRequest, SliceOutcome};
+use crate::macros::{
+    CharPointRequest, MacroReport, MacroRequest, MacroShape, MacroShapeRequest, MacroSliceRequest,
+    SliceOutcome,
+};
 use crate::optimize::{
     CandidateOutcome, OptimizeCandidateRequest, OptimizeReport, OptimizeRequest,
 };
@@ -56,7 +59,7 @@ use std::sync::Arc;
 // Request classes and cache keys
 // ---------------------------------------------------------------------------
 
-/// The eight request kinds a session services, each with its own
+/// The nine request kinds a session services, each with its own
 /// memoization cache and per-kind counters in
 /// [`SessionStats`](crate::SessionStats).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]
@@ -91,12 +94,21 @@ pub enum RequestClass {
     /// out ([`MacroSliceRequest`]) memoize here, so overlapping macros
     /// share slice characterizations (and the sub-cell layouts they
     /// recall live in the `Cell` class, shared with library builds).
+    /// Each macro shape's assembled hierarchy (placement, SPICE, GDS)
+    /// memoizes here too, so every seed of one shape shares one copy.
     Macros,
+    /// One characterization point — a library cell's delay at one load
+    /// and variation corner — as measured inside a macro's bit slices.
+    /// Every slice characterizes its internal stages at the same load,
+    /// so all but the first slice of a session replay those points as
+    /// hits; the per-slice output-buffer points at unique loads churn
+    /// only this class, never the `Cell` or `Macros` caches.
+    Chars,
 }
 
 impl RequestClass {
     /// Every request class, in cache order.
-    pub const ALL: [RequestClass; 8] = [
+    pub const ALL: [RequestClass; 9] = [
         RequestClass::Cell,
         RequestClass::Library,
         RequestClass::Immunity,
@@ -105,6 +117,7 @@ impl RequestClass {
         RequestClass::Repairs,
         RequestClass::Optimizations,
         RequestClass::Macros,
+        RequestClass::Chars,
     ];
 
     /// Stable index of this class into the session's cache array.
@@ -118,6 +131,7 @@ impl RequestClass {
             RequestClass::Repairs => 5,
             RequestClass::Optimizations => 6,
             RequestClass::Macros => 7,
+            RequestClass::Chars => 8,
         }
     }
 
@@ -132,6 +146,7 @@ impl RequestClass {
             RequestClass::Repairs => "repairs",
             RequestClass::Optimizations => "optimizations",
             RequestClass::Macros => "macros",
+            RequestClass::Chars => "chars",
         }
     }
 }
@@ -197,6 +212,21 @@ pub(crate) enum KeyInner {
     /// bits of different widths are different work. Lives in the
     /// [`RequestClass::Macros`] cache next to whole macros.
     MacroSlice(String),
+    /// One macro shape's assembled hierarchy: kind, width and scheme —
+    /// never the seed, which only moves slice loads. Lives in the
+    /// [`RequestClass::Macros`] cache next to whole macros.
+    MacroShape(String),
+    /// One characterization point: exactly what
+    /// [`characterize_cell_at`](crate::dk::characterize_cell_at) reads —
+    /// the cell's function and strength, the corner's fields and the
+    /// load, floats keyed by their bits. The kit is fixed per session.
+    CharPoint {
+        kind: crate::core::StdCellKind,
+        strength: u8,
+        tubes_per_4lambda: u32,
+        pitch_scale_bits: u64,
+        load_bits: u64,
+    },
 }
 
 impl CacheKey {
@@ -211,7 +241,10 @@ impl CacheKey {
             KeyInner::Sweep(_) | KeyInner::SweepCorner(_) => RequestClass::Sweeps,
             KeyInner::Repair(_) | KeyInner::Die(_) => RequestClass::Repairs,
             KeyInner::Optimize(_) | KeyInner::OptimizeCandidate(_) => RequestClass::Optimizations,
-            KeyInner::Macro(_) | KeyInner::MacroSlice(_) => RequestClass::Macros,
+            KeyInner::Macro(_) | KeyInner::MacroSlice(_) | KeyInner::MacroShape(_) => {
+                RequestClass::Macros
+            }
+            KeyInner::CharPoint { .. } => RequestClass::Chars,
         }
     }
 }
@@ -784,6 +817,48 @@ impl SessionRequest for MacroSliceRequest {
 
     fn execute(&self, session: &Session) -> Result<SliceOutcome> {
         crate::macros::execute_slice(self, session)
+    }
+}
+
+impl sealed::Sealed for MacroShapeRequest {}
+
+impl SessionRequest for MacroShapeRequest {
+    type Output = Arc<MacroShape>;
+
+    /// Per-shape memoization: kind, width, scheme. The seed is not part
+    /// of the key — placement, SPICE and GDS never read it.
+    fn cache_key(&self, _session: &Session) -> Option<CacheKey> {
+        Some(CacheKey(KeyInner::MacroShape(format!(
+            "{:?}|{}|{:?}",
+            self.kind, self.width, self.scheme
+        ))))
+    }
+
+    fn execute(&self, session: &Session) -> Result<Arc<MacroShape>> {
+        crate::macros::execute_shape(self, session)
+    }
+}
+
+impl sealed::Sealed for CharPointRequest<'_> {}
+
+impl SessionRequest for CharPointRequest<'_> {
+    type Output = Arc<dk::TimingTable>;
+
+    fn cache_key(&self, _session: &Session) -> Option<CacheKey> {
+        Some(CacheKey(KeyInner::CharPoint {
+            kind: self.cell.kind,
+            strength: self.cell.strength,
+            tubes_per_4lambda: self.corner.tubes_per_4lambda,
+            pitch_scale_bits: self.corner.pitch_scale.to_bits(),
+            load_bits: self.load_f.to_bits(),
+        }))
+    }
+
+    /// One single-load transient on the MNA engine.
+    fn execute(&self, session: &Session) -> Result<Arc<dk::TimingTable>> {
+        let table =
+            dk::characterize_cell_at(session.kit(), self.cell, &[self.load_f], self.corner)?;
+        Ok(Arc::new(table))
     }
 }
 

@@ -448,8 +448,15 @@ pub struct SessionStats {
     /// Macro requests ([`RequestClass::Macros`]): whole adder macros
     /// *and* their per-bit-slice sub-requests share this class, so an
     /// overlapping macro's slice reuse shows up here as hits (its
-    /// sub-cell reuse lands in `cells`).
+    /// sub-cell reuse lands in `cells`). Each macro shape's assembled
+    /// hierarchy memoizes here too: a new seed of a known shape counts
+    /// one shape hit.
     pub macros: RequestStats,
+    /// Characterization points ([`RequestClass::Chars`]) measured by
+    /// macro bit slices: a width-`w` macro on a warm session shows `w`
+    /// misses (each slice's output-buffer load) and `2w` hits (the two
+    /// internal stages, at the same load in every slice).
+    pub chars: RequestStats,
     /// Times a request blocked waiting on another thread's in-flight
     /// build of the same key (across all caches).
     pub inflight_waits: u64,
@@ -474,6 +481,7 @@ impl SessionStats {
             RequestClass::Repairs => self.repairs,
             RequestClass::Optimizations => self.optimizations,
             RequestClass::Macros => self.macros,
+            RequestClass::Chars => self.chars,
         }
     }
 
@@ -510,7 +518,7 @@ pub(crate) enum CellKey {
     },
 }
 
-/// A memoized result, type-erased so all four class caches share one
+/// A memoized result, type-erased so every class cache shares one
 /// value representation. The concrete type behind the `dyn Any` is the
 /// request's `Output`, recovered by downcast in [`Session::run`] — safe
 /// because [`CacheKey`](crate::CacheKey)s are class-tagged and each class
@@ -667,7 +675,7 @@ struct SessionCore {
     /// [`RequestClass::index`]. Values are type-erased (see
     /// [`CachedValue`]); keys are class-tagged, so a key only ever meets
     /// values of its own class's output type.
-    caches: [ShardedCache<crate::request::CacheKey, CachedValue>; 8],
+    caches: [ShardedCache<crate::request::CacheKey, CachedValue>; RequestClass::ALL.len()],
     batch_workers: usize,
     stats: StatsInner,
     /// The persistent job pool, started on the first [`Session::submit`].
@@ -743,7 +751,7 @@ impl Session {
     /// A snapshot of the cache and executor counters, with every request
     /// class aggregated the same way over its cache shards.
     pub fn stats(&self) -> SessionStats {
-        let mut per_class = [RequestStats::default(); 8];
+        let mut per_class = [RequestStats::default(); RequestClass::ALL.len()];
         let mut inflight_waits = 0;
         for class in RequestClass::ALL {
             let s = self.core.caches[class.index()].stats();
@@ -765,6 +773,7 @@ impl Session {
             repairs: per_class[RequestClass::Repairs.index()],
             optimizations: per_class[RequestClass::Optimizations.index()],
             macros: per_class[RequestClass::Macros.index()],
+            chars: per_class[RequestClass::Chars.index()],
             inflight_waits,
             batches: self.core.stats.batches.load(Ordering::Relaxed),
             steals: self.core.stats.batch_steals.load(Ordering::Relaxed) + pool_steals,
@@ -926,12 +935,26 @@ impl Session {
     where
         R: SessionRequest + Send + 'static,
     {
+        self.submit_then(request, |_| {})
+    }
+
+    /// [`Session::submit`] with a completion hook: `on_complete` runs on
+    /// the executing worker with the job's result just before the
+    /// [`JobHandle`] resolves, so a front end can publish the outcome
+    /// (wake a stream, render a response) without anyone polling the
+    /// handle. The hook does not run for a job that is canceled unrun.
+    pub fn submit_then<R, F>(&self, request: R, on_complete: F) -> JobHandle<R::Output>
+    where
+        R: SessionRequest + Send + 'static,
+        F: FnOnce(&Result<R::Output>) + Send + 'static,
+    {
         let (completion, handle) = job_channel();
         self.pool().submit(make_job(
             &self.core,
             crate::jobs::UNBATCHED,
             request,
             completion,
+            on_complete,
         ));
         self.core.stats.submitted.fetch_add(1, Ordering::Relaxed);
         handle
@@ -964,7 +987,7 @@ impl Session {
             .into_iter()
             .map(|request| {
                 let (completion, handle) = job_channel();
-                jobs.push(make_job(&self.core, batch, request, completion));
+                jobs.push(make_job(&self.core, batch, request, completion, |_| {}));
                 handle
             })
             .collect();
@@ -1055,15 +1078,18 @@ impl Session {
 /// only weakly: if every [`Session`] handle is gone by the time the job
 /// is popped, it resolves its handle to
 /// [`CnfetError::Canceled`](crate::CnfetError::Canceled) instead of
-/// keeping a dead engine alive.
-fn make_job<R>(
+/// keeping a dead engine alive. A job that runs hands its result to
+/// `on_complete` before resolving the handle.
+fn make_job<R, F>(
     core: &Arc<SessionCore>,
     batch: u64,
     request: R,
     completion: crate::jobs::Completion<R::Output>,
+    on_complete: F,
 ) -> crate::jobs::Job
 where
     R: SessionRequest + Send + 'static,
+    F: FnOnce(&Result<R::Output>) + Send + 'static,
 {
     let weak: Weak<SessionCore> = Arc::downgrade(core);
     crate::jobs::Job {
@@ -1071,7 +1097,9 @@ where
         run: Box::new(move || match weak.upgrade() {
             Some(core) => {
                 let session = Session { core };
-                completion.complete(session.run(&request));
+                let result = session.run(&request);
+                on_complete(&result);
+                completion.complete(result);
             }
             None => drop(completion),
         }),

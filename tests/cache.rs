@@ -299,6 +299,41 @@ fn flow_results_are_memoized() {
     assert_eq!(session.stats().flows.misses, 2);
 }
 
+/// Each characterization point and each macro shape runs once per
+/// session. A cold CLA-64 executes its two internal-stage points once
+/// and one output-buffer point per slice; a second, fresh-seed CLA-64
+/// on the now-warm session executes only its 64 output-buffer points,
+/// hits both internal points in every slice, and recalls the assembled
+/// hierarchy — sharing the very same SPICE and GDS bytes.
+#[test]
+fn macro_characterization_points_and_shapes_run_once() {
+    let session = Session::new();
+    let first = session
+        .run(&MacroRequest::new(AdderKind::Cla, 64).seed(1))
+        .unwrap();
+    let cold = session.stats();
+    assert_eq!(cold.chars.misses, 64 + 2, "internal points executed once");
+    assert_eq!(cold.chars.hits, 3 * 64 - (64 + 2));
+
+    let second = session
+        .run(&MacroRequest::new(AdderKind::Cla, 64).seed(2))
+        .unwrap();
+    let warm = session.stats();
+    assert_eq!(warm.chars.misses - cold.chars.misses, 64, "w misses");
+    assert_eq!(warm.chars.hits - cold.chars.hits, 128, "2w hits");
+    assert_eq!(
+        warm.macros.misses - cold.macros.misses,
+        1 + 64,
+        "the report and its slices execute; the shape does not"
+    );
+    assert_eq!(warm.macros.hits - cold.macros.hits, 1, "the shape hits");
+    assert_eq!(warm.chars.evictions, 0);
+
+    assert!(Arc::ptr_eq(&first.spice, &second.spice), "one SPICE deck");
+    assert!(Arc::ptr_eq(&first.gds, &second.gds), "one GDS stream");
+    assert_ne!(first.slices, second.slices, "the seed still moves loads");
+}
+
 #[test]
 fn clear_cache_drops_every_request_class() {
     let session = Session::new();

@@ -259,14 +259,14 @@ fn reference_macro() -> MacroRequest {
 /// in CI also spans `CNFET_TEST_WORKERS ∈ {auto, 1}` — `batch_workers(0)`
 /// defers to that variable), and with memoization disabled entirely.
 /// Each slice's load jitter is keyed by `seed ⊕ bit`, never by which
-/// worker characterized it or whether its sub-cells were recalled.
+/// worker characterized it or whether its sub-cells, characterization
+/// points or assembled shape were recalled.
 #[test]
 fn macro_reports_are_deterministic_across_workers_and_cache() {
-    let reference = SessionBuilder::new()
-        .batch_workers(1)
-        .build()
-        .run(&reference_macro())
-        .unwrap();
+    let memoized = SessionBuilder::new().batch_workers(1).build();
+    let reference = memoized.run(&reference_macro()).unwrap();
+    // The reference reused its internal-stage characterization points.
+    assert!(memoized.stats().chars.hits > 0);
     for workers in [2usize, 0] {
         let session = SessionBuilder::new().batch_workers(workers).build();
         let report = session.run(&reference_macro()).unwrap();
@@ -293,8 +293,12 @@ fn macro_reports_are_deterministic_across_workers_and_cache() {
         "SPICE changed with cache off"
     );
     assert_eq!(report.gds, reference.gds, "GDS changed with cache off");
-    // With capacity 0 nothing was memoized — every slice executed.
-    assert_eq!(uncached.stats().macros.hits, 0);
+    // With capacity 0 nothing was memoized — every slice, the shape and
+    // all three characterization points of every slice executed.
+    let stats = uncached.stats();
+    assert_eq!(stats.macros.hits, 0);
+    assert_eq!(stats.chars.hits, 0);
+    assert_eq!(stats.chars.misses, 3 * 32);
 }
 
 /// Submitting the same macro non-blocking (through the pool) yields the
