@@ -17,15 +17,13 @@
 //! [`Polled::Unknown`] (`404`).
 //!
 //! Every job also carries a [`Progress`] handle. For composite requests
-//! the table attaches the matching observer before submitting — a
-//! [`RowObserver`] on sweeps, a [`DieObserver`] on repair lots, a
-//! [`CandidateObserver`] on optimize searches, a [`SliceObserver`] on
-//! adder macros — so corner rows / die outcomes / candidate rows /
-//! bit-slice outcomes land on the progress as the engine
-//! harvests them — the feed under `/stream`. Whole-report cache hits
-//! never execute (the observer stays silent); the missing rows are
-//! back-filled from the final report when the job settles, so a
-//! streamed job always delivers every row before its terminal event.
+//! (sweeps, repair lots, optimize searches, adder macros) the table
+//! attaches an [`Observer`] before submitting, so corner rows / die
+//! outcomes / candidate rows / bit-slice outcomes land on the progress
+//! as the engine harvests them — the feed under `/stream`. Whole-report
+//! cache hits never execute (the observer stays silent); the missing
+//! rows are back-filled from the final report when the job settles, so
+//! a streamed job always delivers every row before its terminal event.
 //!
 //! Three bounds keep the table from growing without limit under load:
 //!
@@ -47,8 +45,7 @@ use crate::wire;
 use cnfet::repair::DieOutcome;
 use cnfet::sweep::CornerRow;
 use cnfet::{
-    CandidateObserver, CandidateRow, CnfetError, DieObserver, JobHandle, RequestKind, ResponseKind,
-    RowObserver, Session, SliceObserver, SliceOutcome,
+    CandidateRow, CnfetError, JobHandle, Observer, RequestKind, ResponseKind, Session, SliceOutcome,
 };
 use std::collections::HashMap;
 use std::sync::{Arc, Condvar, Mutex, Weak};
@@ -85,8 +82,8 @@ pub enum Polled {
 }
 
 /// One streamed progress row: a sweep's corner row, a repair lot's die
-/// outcome, or an optimize search's candidate row, in canonical report
-/// order either way.
+/// outcome, an optimize search's candidate row, or an adder macro's bit
+/// slice, in canonical report order.
 #[derive(Clone, Debug)]
 pub enum StreamRow {
     /// One cell × corner row of an executing sweep.
@@ -99,11 +96,34 @@ pub enum StreamRow {
     Slice(SliceOutcome),
 }
 
-/// The live row feed of one job, shared between the engine's observer
-/// ([`RowObserver`] for sweeps, [`DieObserver`] for repair lots —
-/// producers) and `/stream` handlers (consumers). Non-composite jobs
-/// carry one too, with `total` 0 — a stream of no rows and one terminal
-/// event.
+impl From<&CornerRow> for StreamRow {
+    fn from(row: &CornerRow) -> StreamRow {
+        StreamRow::Corner(row.clone())
+    }
+}
+
+impl From<&DieOutcome> for StreamRow {
+    fn from(outcome: &DieOutcome) -> StreamRow {
+        StreamRow::Die(outcome.clone())
+    }
+}
+
+impl From<&CandidateRow> for StreamRow {
+    fn from(row: &CandidateRow) -> StreamRow {
+        StreamRow::Candidate(row.clone())
+    }
+}
+
+impl From<&SliceOutcome> for StreamRow {
+    fn from(outcome: &SliceOutcome) -> StreamRow {
+        StreamRow::Slice(*outcome)
+    }
+}
+
+/// The live row feed of one job, shared between the engine's
+/// [`Observer`] on a composite (the producer) and `/stream` handlers
+/// (consumers). Non-composite jobs carry one too, with `total` 0 — a
+/// stream of no rows and one terminal event.
 pub struct Progress {
     total: usize,
     state: Mutex<ProgressState>,
@@ -128,7 +148,8 @@ impl Progress {
     }
 
     /// Total rows this job will deliver (cells × corners for a sweep,
-    /// dies for a repair lot; 0 for non-composite jobs).
+    /// dies for a repair lot, candidates for an optimize search, bits for
+    /// an adder macro; 0 for non-composite jobs).
     pub fn total(&self) -> usize {
         self.total
     }
@@ -291,58 +312,29 @@ impl JobTable {
     /// Submits one request on the session's pool and returns its job id,
     /// or refuses with [`Backpressure`] when `capacity` jobs are already
     /// pending. Expired jobs are purged first, so a full table recovers
-    /// on its own as work drains. Composite requests get an observer
-    /// attached ([`RowObserver`] on sweeps, [`DieObserver`] on repair
-    /// lots) so their rows feed the job's [`Progress`] live.
+    /// on its own as work drains. Composite requests get an [`Observer`]
+    /// attached so their rows feed the job's [`Progress`] live.
     pub fn submit(&self, session: &Session, request: RequestKind) -> Result<u64, Backpressure> {
         // Build the progress (and, for composites, wire the observer)
         // before taking the table lock: the observer closure only touches
         // the progress's own lock, never the table's.
-        let (request, progress) = match request {
-            RequestKind::Sweep(sweep) => {
-                let progress = Arc::new(Progress::new(sweep.row_count()));
-                // Weak: once the entry expires, the engine's pushes (for
-                // a sweep another client re-triggered) go nowhere.
-                let feed: Weak<Progress> = Arc::downgrade(&progress);
-                let sweep = sweep.observe_rows(RowObserver::new(move |index, row| {
-                    if let Some(progress) = feed.upgrade() {
-                        progress.push(index, StreamRow::Corner(row.clone()));
-                    }
-                }));
-                (RequestKind::Sweep(sweep), progress)
-            }
+        let progress = Arc::new(Progress::new(match &request {
+            RequestKind::Sweep(sweep) => sweep.row_count(),
+            RequestKind::Repair(repair) => repair.die_count(),
+            RequestKind::Optimize(optimize) => optimize.candidate_count(),
+            RequestKind::Macro(makro) => makro.slice_count(),
+            _ => 0,
+        }));
+        let request = match request {
+            RequestKind::Sweep(sweep) => RequestKind::Sweep(sweep.observe_rows(feed(&progress))),
             RequestKind::Repair(repair) => {
-                let progress = Arc::new(Progress::new(repair.die_count()));
-                let feed: Weak<Progress> = Arc::downgrade(&progress);
-                let repair = repair.observe_dies(DieObserver::new(move |index, outcome| {
-                    if let Some(progress) = feed.upgrade() {
-                        progress.push(index, StreamRow::Die(outcome.clone()));
-                    }
-                }));
-                (RequestKind::Repair(repair), progress)
+                RequestKind::Repair(repair.observe_dies(feed(&progress)))
             }
             RequestKind::Optimize(optimize) => {
-                let progress = Arc::new(Progress::new(optimize.candidate_count()));
-                let feed: Weak<Progress> = Arc::downgrade(&progress);
-                let optimize =
-                    optimize.observe_candidates(CandidateObserver::new(move |index, row| {
-                        if let Some(progress) = feed.upgrade() {
-                            progress.push(index, StreamRow::Candidate(row.clone()));
-                        }
-                    }));
-                (RequestKind::Optimize(optimize), progress)
+                RequestKind::Optimize(optimize.observe_candidates(feed(&progress)))
             }
-            RequestKind::Macro(makro) => {
-                let progress = Arc::new(Progress::new(makro.slice_count()));
-                let feed: Weak<Progress> = Arc::downgrade(&progress);
-                let makro = makro.observe_slices(SliceObserver::new(move |index, outcome| {
-                    if let Some(progress) = feed.upgrade() {
-                        progress.push(index, StreamRow::Slice(*outcome));
-                    }
-                }));
-                (RequestKind::Macro(makro), progress)
-            }
-            other => (other, Arc::new(Progress::new(0))),
+            RequestKind::Macro(makro) => RequestKind::Macro(makro.observe_slices(feed(&progress))),
+            other => other,
         };
         let mut inner = self.inner.lock().expect("job table lock");
         let now = Instant::now();
@@ -554,39 +546,36 @@ impl Inner {
     }
 }
 
+/// An observer pushing each row the engine harvests onto `progress`.
+/// It holds the progress weakly: once the entry expires, the engine's
+/// pushes (for a composite another client re-triggered) go nowhere.
+fn feed<T: 'static>(progress: &Arc<Progress>) -> Observer<T>
+where
+    for<'a> &'a T: Into<StreamRow>,
+{
+    let weak: Weak<Progress> = Arc::downgrade(progress);
+    Observer::new(move |index, row: &T| {
+        if let Some(progress) = weak.upgrade() {
+            progress.push(index, row.into());
+        }
+    })
+}
+
 /// The full row list a settled composite result implies — what a
 /// whole-report cache hit back-fills into the progress feed in place of
 /// the observer rows that never fired.
 fn backfill_rows(result: &Result<ResponseKind, CnfetError>) -> Option<Vec<StreamRow>> {
+    fn rows<'a, T: 'a>(rows: &'a [T]) -> Option<Vec<StreamRow>>
+    where
+        &'a T: Into<StreamRow>,
+    {
+        Some(rows.iter().map(Into::into).collect())
+    }
     match result {
-        Ok(ResponseKind::Sweep(report)) => Some(
-            report
-                .rows
-                .iter()
-                .map(|row| StreamRow::Corner(row.clone()))
-                .collect(),
-        ),
-        Ok(ResponseKind::Repair(report)) => Some(
-            report
-                .dies
-                .iter()
-                .map(|outcome| StreamRow::Die(outcome.clone()))
-                .collect(),
-        ),
-        Ok(ResponseKind::Optimize(report)) => Some(
-            report
-                .candidates
-                .iter()
-                .map(|row| StreamRow::Candidate(row.clone()))
-                .collect(),
-        ),
-        Ok(ResponseKind::Macro(report)) => Some(
-            report
-                .slices
-                .iter()
-                .map(|outcome| StreamRow::Slice(*outcome))
-                .collect(),
-        ),
+        Ok(ResponseKind::Sweep(report)) => rows(&report.rows),
+        Ok(ResponseKind::Repair(report)) => rows(&report.dies),
+        Ok(ResponseKind::Optimize(report)) => rows(&report.candidates),
+        Ok(ResponseKind::Macro(report)) => rows(&report.slices),
         _ => None,
     }
 }

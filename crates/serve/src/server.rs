@@ -761,57 +761,31 @@ fn stream_job(stream: &mut TcpStream, shared: &Shared, id: u64, format: Format) 
         let _ = shared.jobs.poll(id);
         let (rows, finished) = progress.wait(seen, READ_POLL);
         for (offset, row) in rows.iter().enumerate() {
-            let written = match format {
-                Format::Json => {
+            let written = match (format, row) {
+                (Format::Binary, StreamRow::Corner(row)) => http::write_chunk(
+                    stream,
+                    &encode::frame(encode::FRAME_ROW, &encode::encode_row(row)),
+                ),
+                (Format::Binary, StreamRow::Die(outcome)) => http::write_chunk(
+                    stream,
+                    &encode::frame(encode::FRAME_DIE, &encode::encode_die(outcome)),
+                ),
+                // Every other row rides in an event, like start/done do:
+                // an ndjson line, or (candidates and slices have no
+                // dedicated binary frame) an event frame.
+                _ => {
                     let rendered = match row {
                         StreamRow::Corner(row) => wire::render_row(row),
                         StreamRow::Die(outcome) => wire::render_die_row(outcome),
                         StreamRow::Candidate(row) => wire::render_candidate(row),
                         StreamRow::Slice(outcome) => wire::render_slice_row(outcome),
                     };
-                    emit_event(
-                        stream,
-                        format,
-                        &Json::obj([
-                            ("event", Json::str("row")),
-                            ("index", Json::from(seen + offset)),
-                            ("row", rendered),
-                        ]),
-                    )
-                }
-                Format::Binary => {
-                    let framed = match row {
-                        StreamRow::Corner(row) => {
-                            encode::frame(encode::FRAME_ROW, &encode::encode_row(row))
-                        }
-                        StreamRow::Die(outcome) => {
-                            encode::frame(encode::FRAME_DIE, &encode::encode_die(outcome))
-                        }
-                        // Candidates and slices have no dedicated binary
-                        // frame; they ride in an event frame like
-                        // start/done do.
-                        StreamRow::Candidate(row) => encode::frame(
-                            encode::FRAME_EVENT,
-                            Json::obj([
-                                ("event", Json::str("row")),
-                                ("index", Json::from(seen + offset)),
-                                ("row", wire::render_candidate(row)),
-                            ])
-                            .render()
-                            .as_bytes(),
-                        ),
-                        StreamRow::Slice(outcome) => encode::frame(
-                            encode::FRAME_EVENT,
-                            Json::obj([
-                                ("event", Json::str("row")),
-                                ("index", Json::from(seen + offset)),
-                                ("row", wire::render_slice_row(outcome)),
-                            ])
-                            .render()
-                            .as_bytes(),
-                        ),
-                    };
-                    http::write_chunk(stream, &framed)
+                    let event = Json::obj([
+                        ("event", Json::str("row")),
+                        ("index", Json::from(seen + offset)),
+                        ("row", rendered),
+                    ]);
+                    emit_event(stream, format, &event)
                 }
             };
             if written.is_err() {

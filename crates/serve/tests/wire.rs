@@ -398,6 +398,69 @@ fn malformed_requests_answer_structured_400s() {
         .to_string();
     assert!(message.starts_with("kind:"), "{message}");
 
+    // Integers the engine holds as u32 answer 400 above u32::MAX instead
+    // of truncating (4294967297 would silently become 1).
+    let too_big = || Json::from(u64::from(u32::MAX) + 2);
+    let inv = || Json::Arr(vec![cell_fields("inv")]);
+    for (body, field) in [
+        (
+            Json::obj([
+                ("type", Json::str("sweep")),
+                ("cells", inv()),
+                (
+                    "grid",
+                    Json::obj([("tube_counts", Json::Arr(vec![too_big()]))]),
+                ),
+            ]),
+            "grid.tube_counts[0]:",
+        ),
+        (
+            Json::obj([
+                ("type", Json::str("sweep_corner")),
+                ("cell", cell_fields("inv")),
+                ("corner", Json::obj([("tubes_per_4lambda", too_big())])),
+            ]),
+            "corner.tubes_per_4lambda:",
+        ),
+        (
+            Json::obj([
+                ("type", Json::str("repair")),
+                ("cells", inv()),
+                ("params", Json::obj([("tubes_per_site", too_big())])),
+            ]),
+            "params.tubes_per_site:",
+        ),
+        (
+            Json::obj([
+                ("type", Json::str("repair")),
+                ("cells", inv()),
+                (
+                    "adjacent",
+                    Json::Arr(vec![Json::Arr(vec![Json::from(0u64), too_big()])]),
+                ),
+            ]),
+            "adjacent[0][1]:",
+        ),
+        (
+            Json::obj([
+                ("type", Json::str("repair")),
+                ("cells", inv()),
+                ("spares", too_big()),
+            ]),
+            "spares:",
+        ),
+    ] {
+        let response = client
+            .request("POST", "/v1/run")
+            .body(&body)
+            .send()
+            .unwrap();
+        assert_eq!(response.status, 400, "{field}");
+        let message = response.body.get("error").unwrap().get("message").unwrap();
+        let message = message.as_str().unwrap();
+        assert!(message.starts_with(field), "{field} -> {message}");
+    }
+
     // Unknown routes and unsupported methods.
     assert_eq!(
         client
@@ -438,6 +501,47 @@ fn malformed_requests_answer_structured_400s() {
     );
     assert!(raw.starts_with("HTTP/1.1 400"), "{raw}");
     assert!(raw.contains("transfer-encoding"), "{raw}");
+    server.shutdown();
+}
+
+#[test]
+fn oversized_fanouts_answer_400_and_the_server_lives() {
+    // A lot plans one sub-request per die before any runs: a 10^12-die
+    // lot must be refused as a field-path 400, not abort the server.
+    let server = server();
+    let mut client = Client::new(server.addr());
+    let lot = Json::obj([
+        ("type", Json::str("repair")),
+        ("cells", Json::Arr(vec![cell_fields("inv")])),
+        ("dies", Json::from(1_000_000_000_000u64)),
+    ]);
+    let seeds: Json = (0..1024u64).collect();
+    let grid = Json::obj([
+        ("type", Json::str("sweep")),
+        ("cells", Json::Arr(vec![cell_fields("inv")])),
+        (
+            "grid",
+            Json::obj([("tube_counts", (0..1025u64).collect()), ("seeds", seeds)]),
+        ),
+    ]);
+    for (body, field) in [(lot, "dies:"), (grid, "grid:")] {
+        let response = client
+            .request("POST", "/v1/run")
+            .body(&body)
+            .send()
+            .unwrap();
+        assert_eq!(response.status, 400, "{field}");
+        let error = response.body.get("error").unwrap();
+        assert_eq!(error.get("kind").unwrap().as_str(), Some("invalid_request"));
+        let message = error.get("message").unwrap().as_str().unwrap();
+        assert!(message.contains(field), "{field} -> {message}");
+    }
+    let health = client
+        .request("GET", "/v1/healthz")
+        .send()
+        .unwrap()
+        .expect_status(200);
+    assert_eq!(health.get("ok").unwrap().as_bool(), Some(true));
     server.shutdown();
 }
 

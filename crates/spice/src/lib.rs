@@ -32,7 +32,6 @@ pub mod lower;
 pub mod measure;
 pub mod netlist;
 pub mod sim;
-pub mod solve;
 
 pub use deck::DeckError;
 pub use lower::to_mna;

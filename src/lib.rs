@@ -173,8 +173,8 @@ pub use repair::{DieObserver, DieRequest, RepairReport, RepairRequest};
 pub use request::{CacheKey, RequestClass, RequestKind, ResponseKind, SessionRequest};
 pub use session::{
     CellRequest, CellResult, FlowRequest, FlowResult, FlowSource, FlowTarget, ImmunityEngine,
-    ImmunityReport, ImmunityRequest, LibraryRequest, RequestStats, Session, SessionBuilder,
-    SessionStats, SimSpec, TranRequest, TranResult,
+    ImmunityReport, ImmunityRequest, LibraryRequest, Observer, RequestStats, Session,
+    SessionBuilder, SessionStats, SimSpec, TranRequest, TranResult, MAX_FANOUT,
 };
 pub use snapshot::SnapshotError;
 pub use sweep::{

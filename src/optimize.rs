@@ -37,11 +37,10 @@
 //! This is the engine's deepest composite nesting: optimize → sweeps →
 //! corners → cells. Every candidate evaluation **is** a memoized
 //! [`SweepRequest`] (one single-point grid × the seed axis), fanned
-//! through the session's job pool with the same batch-targeted helping
-//! rule the sweep and repair layers use — the executing thread helps
-//! drain only its own batch, so a bounded worker set never deadlocks on
-//! the nested fan-outs, and overlapping candidates re-execute only new
-//! corners.
+//! through the session's job pool by the composite fan-out every
+//! composite shares — the executing thread helps drain only its own
+//! batch, so a bounded worker set never deadlocks on the nested
+//! fan-outs, and overlapping candidates re-execute only new corners.
 //!
 //! Memoization works at both granularities in the
 //! [`RequestClass::Optimizations`](crate::RequestClass::Optimizations)
@@ -84,13 +83,12 @@
 
 use crate::error::Result;
 use crate::immunity::McOptions;
-use crate::request::RequestKind;
-use crate::session::{CellRequest, Session};
+use crate::request::{RequestKind, ResponseKind};
+use crate::session::{check_fanout, CellRequest, Observer, Session};
 use crate::sweep::{
     canonical_axis_value, check_axis_value, SweepMetrics, SweepRequest, VariationGrid,
 };
 use std::sync::Arc;
-use std::time::Duration;
 
 // ---------------------------------------------------------------------------
 // Targets
@@ -220,46 +218,9 @@ impl OptimizeTarget {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Candidate observation
-// ---------------------------------------------------------------------------
-
-/// A callback invoked with each scored [`CandidateRow`] of an executing
-/// search, in schedule order — the hook incremental-delivery front ends
-/// (the `cnfet-serve` job streaming endpoint) use to flush per-candidate
-/// progress as rounds complete instead of waiting for the whole report.
-///
-/// Like the sweep layer's [`RowObserver`](crate::RowObserver), the
-/// observer is **not** part of the request's identity: it is excluded
-/// from the cache key, so an observed and an unobserved search share one
-/// memoized report, and the observer only fires when the search actually
-/// *executes* — a whole-trajectory cache hit skips execution, and the
-/// caller already holds every candidate in the report it received.
-#[derive(Clone)]
-pub struct CandidateObserver(CandidateCallback);
-
-/// The shared callback behind a [`CandidateObserver`].
-type CandidateCallback = Arc<dyn Fn(usize, &CandidateRow) + Send + Sync>;
-
-impl CandidateObserver {
-    /// Wraps a callback. It may be called from whichever thread executes
-    /// the search and must not block for long — it runs inside the
-    /// harvest loop, between candidate completions.
-    pub fn new(f: impl Fn(usize, &CandidateRow) + Send + Sync + 'static) -> CandidateObserver {
-        CandidateObserver(Arc::new(f))
-    }
-
-    /// Invokes the callback for candidate index `index`.
-    pub(crate) fn notify(&self, index: usize, row: &CandidateRow) {
-        (self.0)(index, row);
-    }
-}
-
-impl std::fmt::Debug for CandidateObserver {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("CandidateObserver")
-    }
-}
+/// The [`Observer`] of a search's scored [`CandidateRow`]s, fired in
+/// schedule order ([`OptimizeReport::candidates`] order).
+pub type CandidateObserver = Observer<CandidateRow>;
 
 // ---------------------------------------------------------------------------
 // Requests
@@ -371,9 +332,8 @@ impl OptimizeRequest {
         self
     }
 
-    /// Attaches a per-candidate progress observer (see
-    /// [`CandidateObserver`] for the ordering and cache-interaction
-    /// contract).
+    /// Attaches a per-candidate progress observer (see [`Observer`] for
+    /// the cache-interaction contract).
     #[must_use]
     pub fn observe_candidates(mut self, observer: CandidateObserver) -> OptimizeRequest {
         self.observer = Some(observer);
@@ -382,18 +342,25 @@ impl OptimizeRequest {
 
     /// Exact number of candidates the fixed schedule will evaluate:
     /// `passes × (|tube_counts| + |pitch_scales| + |metallic_fractions|)`
-    /// — refinement replaces axis values but never their count. The
-    /// count a streaming consumer should expect before the report lands.
+    /// — refinement replaces axis values but never their count
+    /// (saturating). The count a streaming consumer should expect before
+    /// the report lands.
     pub fn candidate_count(&self) -> usize {
-        self.passes as usize
-            * (self.grid.tube_counts.len()
+        self.checked_candidate_count().unwrap_or(usize::MAX)
+    }
+
+    fn checked_candidate_count(&self) -> Option<usize> {
+        (self.passes as usize).checked_mul(
+            self.grid.tube_counts.len()
                 + self.grid.pitch_scales.len()
-                + self.grid.metallic_fractions.len())
+                + self.grid.metallic_fractions.len(),
+        )
     }
 
     /// Checks the request describes a runnable search: at least one
     /// cell, one pass, a non-empty value list on every axis (including
-    /// seeds), valid grid floats, and a valid target.
+    /// seeds), valid grid floats, a valid target, and at most
+    /// [`MAX_FANOUT`](crate::MAX_FANOUT) candidates.
     ///
     /// # Errors
     ///
@@ -424,7 +391,8 @@ impl OptimizeRequest {
             }
         }
         self.grid.validate("grid")?;
-        self.target.validate("target")
+        self.target.validate("target")?;
+        check_fanout(self.checked_candidate_count(), "passes")
     }
 
     /// The per-candidate sub-request at one coordinate triple.
@@ -708,14 +676,8 @@ impl OptimizeReport {
 // Execution
 // ---------------------------------------------------------------------------
 
-/// How long a search blocks on a pending handle when there is nothing of
-/// its own batch to help with (same rationale as the sweep and repair
-/// layers: helping is the fast path).
-const HELP_WAIT: Duration = Duration::from_millis(2);
-
 /// Executes a whole search on a session: per axis round, fan one
-/// memoized candidate sweep per axis value through the job pool, help
-/// drain the round's own batch while harvesting, score the outcomes, and
+/// memoized candidate sweep per axis value out, score the outcomes, and
 /// walk the coordinate-descent schedule to an [`OptimizeReport`].
 pub(crate) fn execute_optimize(
     request: &OptimizeRequest,
@@ -827,49 +789,25 @@ pub(crate) fn execute_optimize(
     }))
 }
 
-/// Evaluates one axis round: fan every coordinate's sweep through the
-/// job pool (each a memoized [`SweepRequest`] — overlapping candidates
-/// re-execute only new corners), helping the round's own batch while
-/// harvesting, then reduce each sweep into its memoized
-/// [`CandidateOutcome`] (a pure sweep-cache hit at that point).
+/// Evaluates one axis round: fan every coordinate's sweep out
+/// ([`Session::fan_out`]; each a memoized [`SweepRequest`] —
+/// overlapping candidates re-execute only new corners), and reduce each
+/// harvested sweep into its memoized [`CandidateOutcome`] (a pure
+/// sweep-cache hit at that point).
 fn evaluate_round(
     request: &OptimizeRequest,
     session: &Session,
     coords: &[(u32, f64, f64)],
 ) -> Result<Vec<CandidateOutcome>> {
-    let submissions: Vec<RequestKind> = coords
+    let submissions = coords
         .iter()
-        .map(|&c| RequestKind::Sweep(request.candidate_request(c).sweep_request()))
-        .collect();
-    let (batch, handles) = session.submit_all_batched(submissions);
-
-    let mut outcomes = Vec::with_capacity(handles.len());
-    for (i, mut handle) in handles.into_iter().enumerate() {
-        // Harvest in schedule order, helping the pool in between — this
-        // thread may BE the pool's only worker, so parking outright on a
-        // handle whose job is still queued would deadlock. Helping is
-        // restricted to the round's own batch: popping an arbitrary job
-        // (e.g. a second copy of this very search) could block on the
-        // single-flight claim this thread holds.
-        let response = loop {
-            if let Some(response) = handle.try_get() {
-                break response;
-            }
-            if !session.help_run_queued_job(batch) {
-                if let Some(response) = handle.wait_timeout(HELP_WAIT) {
-                    break response;
-                }
-            }
-        }?;
-        let _report = response
-            .into_sweep()
-            .expect("candidate submissions resolve to sweep reports");
+        .map(|&c| RequestKind::Sweep(request.candidate_request(c).sweep_request()));
+    session.fan_out(submissions, ResponseKind::into_sweep, |index, _report| {
         // The candidate reduction runs through the session so the
         // outcome memoizes in the Optimizations class; its inner sweep
         // re-run is a pure hit on the report just harvested.
-        outcomes.push(session.run(&request.candidate_request(coords[i]))?);
-    }
-    Ok(outcomes)
+        session.run(&request.candidate_request(coords[index]))
+    })
 }
 
 /// Executes one candidate: run (or recall) its sweep, then reduce the

@@ -16,10 +16,9 @@
 //!
 //! [`RepairRequest`] is the engine's second composite request, shaped
 //! exactly like a sweep: its `execute` fans one [`DieRequest`] per die
-//! out through [`Session::submit_all`], helping drain its own batch
-//! while harvesting (the pool's batch-targeted helping protocol, so a
-//! bounded worker set never deadlocks on the fan-out), and reduces the
-//! per-die outcomes into a [`RepairReport`].
+//! out through the session's composite fan-out (which helps drain its
+//! own batch while harvesting, so a bounded worker set never deadlocks),
+//! and reduces the per-die outcomes into a [`RepairReport`].
 //!
 //! Memoization works at both granularities in the
 //! [`RequestClass::Repairs`](crate::RequestClass::Repairs) cache: a
@@ -47,8 +46,6 @@
 //! assert!(std::sync::Arc::ptr_eq(&report, &again));
 //! # Ok::<(), cnfet::CnfetError>(())
 //! ```
-//!
-//! [`Session::submit_all`]: crate::Session::submit_all
 
 pub use cnfet_repair::{
     max_matching, mix_seed, repair_die, solve, Assignment, Cnf, DefectKind, DefectMap,
@@ -57,52 +54,13 @@ pub use cnfet_repair::{
 };
 
 use crate::error::Result;
-use crate::request::RequestKind;
-use crate::session::{CellRequest, Session};
+use crate::request::{RequestKind, ResponseKind};
+use crate::session::{check_fanout, observed, CellRequest, Observer, Session};
 use std::sync::Arc;
-use std::time::Duration;
 
-// ---------------------------------------------------------------------------
-// Die observation
-// ---------------------------------------------------------------------------
-
-/// A callback invoked with each harvested [`DieOutcome`] of an
-/// executing repair lot, in die order — the hook incremental-delivery
-/// front ends (the `cnfet-serve` job streaming endpoint) use to flush
-/// per-die progress as dies complete instead of waiting for the whole
-/// report.
-///
-/// Like the sweep layer's [`RowObserver`](crate::RowObserver), the
-/// observer is **not** part of the request's identity: it is excluded
-/// from the cache key, so an observed and an unobserved lot share one
-/// memoized report, and the observer only fires when the lot actually
-/// *executes* — a whole-report cache hit skips execution, and the
-/// caller already holds every outcome in the report it received.
-#[derive(Clone)]
-pub struct DieObserver(DieCallback);
-
-/// The shared callback behind a [`DieObserver`].
-type DieCallback = Arc<dyn Fn(usize, &DieOutcome) + Send + Sync>;
-
-impl DieObserver {
-    /// Wraps a callback. It may be called from whichever thread executes
-    /// the lot and must not block for long — it runs inside the harvest
-    /// loop, between die completions.
-    pub fn new(f: impl Fn(usize, &DieOutcome) + Send + Sync + 'static) -> DieObserver {
-        DieObserver(Arc::new(f))
-    }
-
-    /// Invokes the callback for die index `index`.
-    pub(crate) fn notify(&self, index: usize, outcome: &DieOutcome) {
-        (self.0)(index, outcome);
-    }
-}
-
-impl std::fmt::Debug for DieObserver {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("DieObserver")
-    }
-}
+/// The [`Observer`] of a repair lot's [`DieOutcome`]s, fired in die
+/// order.
+pub type DieObserver = Observer<DieOutcome>;
 
 // ---------------------------------------------------------------------------
 // Requests
@@ -205,8 +163,8 @@ impl RepairRequest {
         self
     }
 
-    /// Attaches a per-die progress observer (see [`DieObserver`] for the
-    /// ordering and cache-interaction contract).
+    /// Attaches a per-die progress observer (see [`Observer`] for the
+    /// cache-interaction contract).
     #[must_use]
     pub fn observe_dies(mut self, observer: DieObserver) -> RepairRequest {
         self.observer = Some(observer);
@@ -217,6 +175,12 @@ impl RepairRequest {
     /// streaming consumer should expect before the report lands.
     pub fn die_count(&self) -> usize {
         usize::try_from(self.dies).unwrap_or(usize::MAX)
+    }
+
+    /// Rejects a lot of more than [`MAX_FANOUT`](crate::MAX_FANOUT) dies
+    /// — before cache-key rendering.
+    pub(crate) fn validate(&self) -> Result<()> {
+        check_fanout(usize::try_from(self.dies).ok(), "dies")
     }
 
     /// The per-die sub-request of one die index.
@@ -388,51 +352,19 @@ impl RepairReport {
 // Execution
 // ---------------------------------------------------------------------------
 
-/// How long a lot blocks on a pending handle when there is nothing of
-/// its own batch to help with (same rationale as the sweep layer's
-/// constant: helping is the fast path).
-const HELP_WAIT: Duration = Duration::from_millis(2);
-
 /// Executes a whole lot on a session: fan out one [`DieRequest`] per
-/// die through the job pool, help drain the lot's own batch while
-/// waiting, reduce into a [`RepairReport`].
+/// die ([`Session::fan_out`]), reduce into a [`RepairReport`].
 pub(crate) fn execute_repair(
     request: &RepairRequest,
     session: &Session,
 ) -> Result<Arc<RepairReport>> {
-    let submissions: Vec<RequestKind> = (0..request.dies)
-        .map(|die| RequestKind::Die(request.die_request(die)))
-        .collect();
-    let (batch, handles) = session.submit_all_batched(submissions);
-
-    let mut dies = Vec::with_capacity(handles.len());
-    for mut handle in handles {
-        // Harvest in die order, helping the pool in between — this
-        // thread may BE the pool's only worker, so parking outright on
-        // a handle whose job is still queued would deadlock. Helping is
-        // restricted to the lot's own batch: popping an arbitrary job
-        // (e.g. a second copy of this very lot) could block on the
-        // single-flight claim this thread holds.
-        let response = loop {
-            if let Some(response) = handle.try_get() {
-                break response;
-            }
-            if !session.help_run_queued_job(batch) {
-                if let Some(response) = handle.wait_timeout(HELP_WAIT) {
-                    break response;
-                }
-            }
-        }?;
-        let outcome = response
-            .into_die()
-            .expect("die submissions resolve to die outcomes");
-        // Flush the outcome to any observer before moving on: outcomes
-        // stream in exactly the `RepairReport::dies` order.
-        if let Some(observer) = &request.observer {
-            observer.notify(dies.len(), &outcome);
-        }
-        dies.push(outcome);
-    }
+    request.validate()?;
+    let submissions = (0..request.dies).map(|die| RequestKind::Die(request.die_request(die)));
+    let dies = session.fan_out(
+        submissions,
+        ResponseKind::into_die,
+        observed(&request.observer),
+    )?;
     Ok(Arc::new(assemble(
         request.cells.len(),
         request.spares,

@@ -558,11 +558,12 @@ impl SessionRequest for SweepRequest {
     /// the **canonicalized** grid (`-0.0` folded to `0.0` — two
     /// semantically identical grids must never render distinct keys),
     /// the metric selection, MC base options and load list. A grid with
-    /// an invalid float axis (NaN, infinite, negative) gets no key at
-    /// all: `execute` rejects it, and an uncacheable request can neither
-    /// poison a single-flight entry nor occupy a cache slot.
+    /// an invalid float axis (NaN, infinite, negative) or a fan-out above
+    /// [`MAX_FANOUT`](crate::MAX_FANOUT) gets no key at all: `execute`
+    /// rejects it, and an uncacheable request can neither poison a
+    /// single-flight entry nor occupy a cache slot.
     fn cache_key(&self, session: &Session) -> Option<CacheKey> {
-        if self.grid.validate("grid").is_err() {
+        if self.validate().is_err() {
             return None;
         }
         let cell_keys: Vec<CellKey> = self
@@ -632,8 +633,13 @@ impl SessionRequest for RepairRequest {
     /// combined with the lot size, seed, spare count, process
     /// parameters, solver, and adjacency constraints. The attached
     /// [`DieObserver`](crate::DieObserver), if any, is deliberately
-    /// excluded — observation is not identity.
+    /// excluded — observation is not identity. A lot above
+    /// [`MAX_FANOUT`](crate::MAX_FANOUT) dies gets no key — `execute`
+    /// rejects it.
     fn cache_key(&self, session: &Session) -> Option<CacheKey> {
+        if self.validate().is_err() {
+            return None;
+        }
         let cell_keys: Vec<CellKey> = self
             .cells
             .iter()
@@ -970,56 +976,6 @@ pub enum RequestKind {
 }
 
 impl RequestKind {
-    /// The wrapped sweep, if this is a [`RequestKind::Sweep`]. Mutable so
-    /// embedders can attach a
-    /// [`RowObserver`](crate::sweep::RowObserver) to a sweep arriving as
-    /// a heterogeneous submission (the serve tier's job streaming does
-    /// exactly this before handing the mix to
-    /// [`Session::submit_all`](crate::Session::submit_all)).
-    pub fn as_sweep_mut(&mut self) -> Option<&mut SweepRequest> {
-        match self {
-            RequestKind::Sweep(r) => Some(r),
-            _ => None,
-        }
-    }
-
-    /// The wrapped repair lot, if this is a [`RequestKind::Repair`].
-    /// Mutable for the same reason as [`RequestKind::as_sweep_mut`]: the
-    /// serve tier attaches a [`DieObserver`](crate::DieObserver) to lots
-    /// arriving as heterogeneous submissions before handing the mix to
-    /// [`Session::submit_all`](crate::Session::submit_all).
-    pub fn as_repair_mut(&mut self) -> Option<&mut RepairRequest> {
-        match self {
-            RequestKind::Repair(r) => Some(r),
-            _ => None,
-        }
-    }
-
-    /// The wrapped optimization, if this is a [`RequestKind::Optimize`].
-    /// Mutable for the same reason as [`RequestKind::as_sweep_mut`]: the
-    /// serve tier attaches a
-    /// [`CandidateObserver`](crate::optimize::CandidateObserver) to
-    /// searches arriving as heterogeneous submissions before handing the
-    /// mix to [`Session::submit_all`](crate::Session::submit_all).
-    pub fn as_optimize_mut(&mut self) -> Option<&mut OptimizeRequest> {
-        match self {
-            RequestKind::Optimize(r) => Some(r),
-            _ => None,
-        }
-    }
-
-    /// The wrapped macro, if this is a [`RequestKind::Macro`]. Mutable
-    /// for the same reason as [`RequestKind::as_sweep_mut`]: the serve
-    /// tier attaches a [`SliceObserver`](crate::SliceObserver) to macros
-    /// arriving as heterogeneous submissions before handing the mix to
-    /// [`Session::submit_all`](crate::Session::submit_all).
-    pub fn as_macro_mut(&mut self) -> Option<&mut MacroRequest> {
-        match self {
-            RequestKind::Macro(r) => Some(r),
-            _ => None,
-        }
-    }
-
     /// Which request class this wraps, or `None` for the uncached
     /// [`RequestKind::Tran`].
     pub fn class(&self) -> Option<RequestClass> {

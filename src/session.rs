@@ -62,7 +62,7 @@ use crate::batch;
 use crate::cache::{CacheStats, ShardedCache, DEFAULT_CAPACITY, DEFAULT_SHARDS};
 use crate::core::{GenerateOptions, GeneratedCell, RowPolicy, Scheme, Sizing, StdCellKind, Style};
 use crate::dk::DesignKit;
-use crate::error::Result;
+use crate::error::{CnfetError, Result};
 use crate::flow::{Netlist, NetlistMetrics, Placement};
 use crate::immunity::{CertReport, McOptions, McReport};
 use crate::jobs::{job_channel, JobHandle, Pool};
@@ -72,6 +72,7 @@ use std::any::Any;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock, Weak};
+use std::time::Duration;
 
 // ---------------------------------------------------------------------------
 // Requests
@@ -974,10 +975,8 @@ impl Session {
     }
 
     /// [`Session::submit_all`] returning the fresh batch id the jobs were
-    /// tagged with — composite requests pass it to
-    /// [`Session::help_run_queued_job`] so their wait loops drain exactly
-    /// their own fan-out.
-    pub(crate) fn submit_all_batched<I>(&self, requests: I) -> (u64, Vec<JobHandle<ResponseKind>>)
+    /// tagged with — [`Session::fan_out`] helps exactly that batch.
+    fn submit_all_batched<I>(&self, requests: I) -> (u64, Vec<JobHandle<ResponseKind>>)
     where
         I: IntoIterator<Item = RequestKind>,
     {
@@ -1003,25 +1002,59 @@ impl Session {
         (batch, handles)
     }
 
+    /// The one fan-out of every composite request (sweep, repair,
+    /// optimize, macro): submits the planned sub-requests as one fresh
+    /// batch, harvests them in submission order, hands each harvested
+    /// output (recovered from its [`ResponseKind`] by `extract`) to
+    /// `each` with its index before the next is harvested, and returns
+    /// what `each` produced, in order. The first failure — a
+    /// sub-request's or `each`'s — ends the harvest.
+    ///
+    /// The executing thread may BE the pool's only worker, so parking
+    /// outright on a handle whose job is still queued would deadlock.
+    /// Harvesting therefore runs `try_get` → help one queued job → a
+    /// [`HELP_WAIT`] timed wait, and never parks while the fan-out's work
+    /// is queued. Helping is restricted to the fan-out's own batch:
+    /// popping an arbitrary job (say, a second copy of this very
+    /// composite) could block on the single-flight claim this thread
+    /// holds. Sub-requests only ever wait downward, so batch-targeted
+    /// helping cannot cycle.
+    pub(crate) fn fan_out<T, U>(
+        &self,
+        requests: impl IntoIterator<Item = RequestKind>,
+        extract: fn(ResponseKind) -> Option<T>,
+        mut each: impl FnMut(usize, T) -> Result<U>,
+    ) -> Result<Vec<U>> {
+        let (batch, handles) = self.submit_all_batched(requests);
+        let mut outputs = Vec::with_capacity(handles.len());
+        for (index, mut handle) in handles.into_iter().enumerate() {
+            let response = loop {
+                if let Some(response) = handle.try_get() {
+                    break response;
+                }
+                let helped = self
+                    .core
+                    .pool
+                    .get()
+                    .is_some_and(|pool| pool.help_run_one(batch));
+                if !helped {
+                    if let Some(response) = handle.wait_timeout(HELP_WAIT) {
+                        break response;
+                    }
+                }
+            }?;
+            let output = extract(response).expect("sub-requests resolve to their planned kind");
+            outputs.push(each(index, output)?);
+        }
+        Ok(outputs)
+    }
+
     /// The persistent pool, started on first use with the session's
     /// worker count.
     fn pool(&self) -> &Pool {
         self.core
             .pool
             .get_or_init(|| Pool::new(self.worker_count()))
-    }
-
-    /// Runs one queued pool job *of the given batch* on the calling
-    /// thread, if any is immediately available. Composite requests
-    /// (sweeps) call this in their handle-wait loops so a bounded worker
-    /// set can never deadlock on a fan-out submitted from inside the
-    /// pool; helping is batch-targeted so a helper can never run a
-    /// foreign job that blocks on the helper's own single-flight claim.
-    pub(crate) fn help_run_queued_job(&self, batch: u64) -> bool {
-        self.core
-            .pool
-            .get()
-            .is_some_and(|pool| pool.help_run_one(batch))
     }
 
     /// Effective executor width used by [`Session::run_batch`] and the
@@ -1071,6 +1104,99 @@ impl Session {
             vars,
             options,
         })
+    }
+}
+
+// ---------------------------------------------------------------------------
+// Composite fan-out
+// ---------------------------------------------------------------------------
+
+/// The most sub-requests one composite may plan: a sweep's cells ×
+/// corners, a repair lot's dies, an optimize search's candidates. Every
+/// planned sub-request is allocated before any runs, so a request over
+/// the bound is rejected as
+/// [`CnfetError::InvalidRequest`](crate::CnfetError::InvalidRequest)
+/// before its cache key is rendered, instead of exhausting memory.
+pub const MAX_FANOUT: usize = 1 << 20;
+
+/// How long a harvest blocks on a pending handle when its own batch has
+/// nothing queued to help with (the sub-request is mid-flight on another
+/// thread, or in transit between deques). Short, because helping is the
+/// fast path.
+const HELP_WAIT: Duration = Duration::from_millis(2);
+
+/// Rejects a planned fan-out above [`MAX_FANOUT`], naming `field`;
+/// `planned` is `None` when counting it overflowed.
+pub(crate) fn check_fanout(planned: Option<usize>, field: &str) -> Result<()> {
+    match planned {
+        Some(count) if count <= MAX_FANOUT => Ok(()),
+        _ => Err(CnfetError::InvalidRequest {
+            field: field.to_string(),
+            message: format!("expected at most {MAX_FANOUT} planned sub-requests"),
+        }),
+    }
+}
+
+/// A progress callback a composite request fires with each harvested row
+/// of its report — sweep corner rows, repair die outcomes, optimize
+/// candidates, macro bit slices — as `(index, &row)`, in report order.
+/// This is the hook incremental-delivery front ends (the `cnfet-serve`
+/// job streaming endpoint) use to flush rows as they complete instead of
+/// waiting for the whole report.
+///
+/// The observer is **not** part of the request's identity: it is
+/// excluded from the cache key, so an observed and an unobserved request
+/// share one memoized report. Consequently it only fires when the
+/// composite actually *executes* — a whole-report cache hit skips
+/// execution, and the caller already holds every row in the report it
+/// received.
+///
+/// Each composite names its observer: [`RowObserver`](crate::RowObserver),
+/// [`DieObserver`](crate::DieObserver),
+/// [`CandidateObserver`](crate::CandidateObserver) and
+/// [`SliceObserver`](crate::SliceObserver).
+pub struct Observer<T>(Callback<T>);
+
+/// The shared callback behind an [`Observer`].
+type Callback<T> = Arc<dyn Fn(usize, &T) + Send + Sync>;
+
+impl<T> Observer<T> {
+    /// Wraps a callback. It may be called from whichever thread executes
+    /// the composite and must not block for long — it runs inside the
+    /// harvest, between row completions.
+    pub fn new(f: impl Fn(usize, &T) + Send + Sync + 'static) -> Observer<T> {
+        Observer(Arc::new(f))
+    }
+
+    /// Invokes the callback for row `index`.
+    pub(crate) fn notify(&self, index: usize, row: &T) {
+        (self.0)(index, row);
+    }
+}
+
+/// The per-item step of a composite whose report rows are its
+/// sub-requests' outputs (sweep, repair, macro): fire the observer, if
+/// any, and keep the row.
+pub(crate) fn observed<T>(
+    observer: &Option<Observer<T>>,
+) -> impl FnMut(usize, T) -> Result<T> + '_ {
+    move |index, row| {
+        if let Some(observer) = observer {
+            observer.notify(index, &row);
+        }
+        Ok(row)
+    }
+}
+
+impl<T> Clone for Observer<T> {
+    fn clone(&self) -> Self {
+        Observer(Arc::clone(&self.0))
+    }
+}
+
+impl<T> std::fmt::Debug for Observer<T> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("Observer")
     }
 }
 

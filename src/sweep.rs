@@ -16,14 +16,14 @@
 //! # Composite execution
 //!
 //! `SweepRequest` is the engine's first *composite* request: its
-//! `execute` fans the corner × cell cross-product out through
-//! [`Session::submit_all`] — one [`SweepCornerRequest`] per pair, each
-//! memoized in the [`RequestClass::Sweeps`](crate::RequestClass::Sweeps)
-//! cache — and reduces the rows as the handles land. Because the fan-out
-//! rides the *same* persistent pool the sweep itself may be executing
-//! on, the executing thread never parks on a pending handle while the
-//! queue is non-empty: it pops and runs queued jobs itself (the pool's
-//! helping protocol), so even a one-worker pool completes arbitrarily
+//! `execute` fans the corner × cell cross-product out on the session's
+//! job pool — one [`SweepCornerRequest`] per pair, each memoized in the
+//! [`RequestClass::Sweeps`](crate::RequestClass::Sweeps) cache — and
+//! reduces the rows as the handles land. Because the fan-out rides the
+//! *same* persistent pool the sweep itself may be executing on, the
+//! executing thread never parks on a pending handle while its own batch
+//! is queued: it runs those jobs itself (the composite fan-out every
+//! composite shares), so even a one-worker pool completes arbitrarily
 //! nested fan-outs instead of deadlocking.
 //!
 //! Memoization works at both granularities: a repeated sweep is one pure
@@ -60,16 +60,13 @@
 //! assert!(std::sync::Arc::ptr_eq(&report, &again));
 //! # Ok::<(), cnfet::CnfetError>(())
 //! ```
-//!
-//! [`Session::submit_all`]: crate::Session::submit_all
 
 use crate::dk::{CharCorner, LibCell, TimingTable};
 use crate::error::Result;
 use crate::immunity::{metallic_yield, simulate, McOptions, MetallicProcess};
-use crate::request::RequestKind;
-use crate::session::{CellRequest, Session};
+use crate::request::{RequestKind, ResponseKind};
+use crate::session::{check_fanout, observed, CellRequest, Observer, Session};
 use std::sync::Arc;
-use std::time::Duration;
 
 // ---------------------------------------------------------------------------
 // The variation grid
@@ -213,12 +210,16 @@ impl VariationGrid {
         self
     }
 
-    /// Number of corners (the product of the axis lengths).
+    /// Number of corners (the product of the axis lengths), saturating
+    /// at `usize::MAX`: the axes arrive sized by the wire.
     pub fn len(&self) -> usize {
-        self.tube_counts.len()
-            * self.pitch_scales.len()
-            * self.metallic_fractions.len()
-            * self.seeds.len()
+        [
+            self.pitch_scales.len(),
+            self.metallic_fractions.len(),
+            self.seeds.len(),
+        ]
+        .into_iter()
+        .fold(self.tube_counts.len(), usize::saturating_mul)
     }
 
     /// Whether the grid has no corners (some axis is empty).
@@ -356,47 +357,9 @@ impl Default for SweepMetrics {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Row observation
-// ---------------------------------------------------------------------------
-
-/// A callback invoked with each harvested [`CornerRow`] of an executing
-/// sweep, in row order (cell-major over the canonical corner sequence —
-/// exactly the order of [`SweepReport::rows`]). This is the hook
-/// incremental-delivery front ends (the `cnfet-serve` job streaming
-/// endpoint) use to flush rows as corners complete instead of waiting
-/// for the whole report.
-///
-/// The observer is **not** part of the sweep's identity: it is excluded
-/// from the cache key, so an observed and an unobserved sweep share one
-/// memoized report. Consequently the observer only fires when the sweep
-/// actually *executes* — a whole-report cache hit skips execution, and
-/// the caller already holds every row in the report it received.
-#[derive(Clone)]
-pub struct RowObserver(RowCallback);
-
-/// The shared callback behind a [`RowObserver`].
-type RowCallback = Arc<dyn Fn(usize, &CornerRow) + Send + Sync>;
-
-impl RowObserver {
-    /// Wraps a callback. It may be called from whichever thread executes
-    /// the sweep and must not block for long — it runs inside the
-    /// harvest loop, between corner completions.
-    pub fn new(f: impl Fn(usize, &CornerRow) + Send + Sync + 'static) -> RowObserver {
-        RowObserver(Arc::new(f))
-    }
-
-    /// Invokes the callback for row `index`.
-    pub(crate) fn notify(&self, index: usize, row: &CornerRow) {
-        (self.0)(index, row);
-    }
-}
-
-impl std::fmt::Debug for RowObserver {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("RowObserver")
-    }
-}
+/// The [`Observer`] of a sweep's [`CornerRow`]s, fired in
+/// [`SweepReport::rows`] order (cell-major over the canonical corners).
+pub type RowObserver = Observer<CornerRow>;
 
 // ---------------------------------------------------------------------------
 // Requests
@@ -479,18 +442,28 @@ impl SweepRequest {
         self
     }
 
-    /// Attaches a per-row progress observer (see [`RowObserver`] for the
-    /// ordering and cache-interaction contract).
+    /// Attaches a per-row progress observer (see [`Observer`] for the
+    /// cache-interaction contract).
     #[must_use]
     pub fn observe_rows(mut self, observer: RowObserver) -> SweepRequest {
         self.observer = Some(observer);
         self
     }
 
-    /// Total rows this sweep will produce: cells × grid corners. The
-    /// count a streaming consumer should expect before the report lands.
+    /// Total rows this sweep will produce: cells × grid corners
+    /// (saturating). The count a streaming consumer should expect before
+    /// the report lands.
     pub fn row_count(&self) -> usize {
-        self.cells.len() * self.grid.len()
+        self.cells.len().saturating_mul(self.grid.len())
+    }
+
+    /// Rejects an invalid grid float, and a grid whose corners (or cells
+    /// × corners) exceed [`MAX_FANOUT`](crate::MAX_FANOUT) — before
+    /// cache-key rendering.
+    pub(crate) fn validate(&self) -> Result<()> {
+        self.grid.validate("grid")?;
+        let planned = self.grid.len().checked_mul(self.cells.len().max(1));
+        check_fanout(planned, "grid")
     }
 
     /// The per-corner sub-request of one (cell, corner) pair.
@@ -657,58 +630,22 @@ impl SweepReport {
 // Execution
 // ---------------------------------------------------------------------------
 
-/// How long a sweep blocks on a pending handle when there is nothing to
-/// help with (the sub-request is mid-flight on another thread, or in
-/// transit between deques). Short, because helping is the fast path.
-const HELP_WAIT: Duration = Duration::from_millis(2);
-
 /// Executes a whole sweep on a session: fan out one
-/// [`SweepCornerRequest`] per cell × corner through the job pool, help
-/// drain the pool while waiting, reduce into a [`SweepReport`].
+/// [`SweepCornerRequest`] per cell × corner ([`Session::fan_out`]),
+/// reduce into a [`SweepReport`].
 pub(crate) fn execute_sweep(request: &SweepRequest, session: &Session) -> Result<Arc<SweepReport>> {
-    request.grid.validate("grid")?;
+    request.validate()?;
     let corners = request.grid.corners();
-    let submissions: Vec<RequestKind> = request
-        .cells
-        .iter()
-        .flat_map(|cell| {
-            corners
-                .iter()
-                .map(|&corner| RequestKind::SweepCorner(request.corner_request(cell, corner)))
-        })
-        .collect();
-    let (batch, handles) = session.submit_all_batched(submissions);
-
-    let mut rows = Vec::with_capacity(handles.len());
-    for mut handle in handles {
-        // Harvest in submission order, helping the pool in between: this
-        // thread may BE the pool's only worker, so parking outright on a
-        // handle whose job is still queued would deadlock. `try_get` →
-        // help(own batch) → short timed wait never parks while this
-        // sweep's work is queued. Helping is restricted to the sweep's
-        // own batch: popping an arbitrary job (e.g. a second copy of
-        // this very sweep) could block on the single-flight claim this
-        // thread holds.
-        let response = loop {
-            if let Some(response) = handle.try_get() {
-                break response;
-            }
-            if !session.help_run_queued_job(batch) {
-                if let Some(response) = handle.wait_timeout(HELP_WAIT) {
-                    break response;
-                }
-            }
-        }?;
-        let row = response
-            .into_sweep_corner()
-            .expect("corner submissions resolve to corner rows");
-        // Flush the row to any observer before moving on to the next
-        // handle: rows stream in exactly the `SweepReport::rows` order.
-        if let Some(observer) = &request.observer {
-            observer.notify(rows.len(), &row);
-        }
-        rows.push(row);
-    }
+    let submissions = request.cells.iter().flat_map(|cell| {
+        corners
+            .iter()
+            .map(|&corner| RequestKind::SweepCorner(request.corner_request(cell, corner)))
+    });
+    let rows = session.fan_out(
+        submissions,
+        ResponseKind::into_sweep_corner,
+        observed(&request.observer),
+    )?;
     Ok(Arc::new(assemble(request.cells.len(), corners, rows)))
 }
 

@@ -5,11 +5,14 @@
 
 use cnfet::core::{Scheme, StdCellKind};
 use cnfet::immunity::McOptions;
+use cnfet::logic::AdderKind;
 use cnfet::{
     CellRequest, CnfetError, FlowRequest, FlowSource, ImmunityRequest, LibraryRequest,
-    RequestClass, RequestKind, ResponseKind, Session, SessionBuilder, SweepCornerRequest,
+    MacroRequest, Observer, OptimizeRequest, OptimizeTarget, RepairRequest, RequestClass,
+    RequestKind, ResponseKind, Session, SessionBuilder, SessionRequest, SweepCornerRequest,
     SweepMetrics, SweepRequest, TranRequest, VariationCorner, VariationGrid,
 };
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// A small immunity-only sweep: 2 cells × 4 corners, cheap MC.
@@ -165,29 +168,109 @@ fn wrapped_and_unwrapped_requests_share_one_cache_entry() {
     assert_eq!(session.stats().cells.misses, 1);
 }
 
-#[test]
-fn composite_sweep_does_not_deadlock_a_single_worker_pool() {
-    // The sweep executes ON the pool's only worker and fans its corner
-    // sub-requests onto that same pool: without the helping protocol the
-    // worker would park on handles nobody is left to serve. Submit
-    // individual cell requests around it too — everything must resolve.
+/// Runs one composite on a one-worker pool — the shape that deadlocks
+/// without batch-targeted helping, since the composite executes ON the
+/// pool's only worker and fans its sub-requests onto that same pool.
+/// Two identical copies (sharing one observer) and an unrelated cell
+/// request are submitted at once, and all must resolve. Exactly one copy
+/// executes, so the observer fires once per row, indices `0..n` in the
+/// report's row order; a repeated `run` is a whole-report hit and fires
+/// it zero times. Returns the session for class-specific counts.
+fn check_composite_on_one_worker<R, T>(
+    name: &str,
+    request: impl Fn(Observer<T>) -> R,
+    rows: impl Fn(&R::Output) -> &[T],
+) -> Session
+where
+    R: SessionRequest + Send + 'static,
+    T: std::fmt::Debug + 'static,
+{
     let session = SessionBuilder::new().batch_workers(1).build();
-    let before = session.submit(CellRequest::new(StdCellKind::Oai21));
-    let sweep = session.submit(small_sweep());
-    let after = session.submit(CellRequest::new(StdCellKind::Aoi22));
+    let fired: Arc<Mutex<Vec<(usize, String)>>> = Arc::default();
+    let log = Arc::clone(&fired);
+    let observer = Observer::<T>::new(move |index, row| {
+        log.lock().unwrap().push((index, format!("{row:?}")));
+    });
+    let mut first = session.submit(request(observer.clone()));
+    let mut second = session.submit(request(observer.clone()));
+    let mut cell = session.submit(CellRequest::new(StdCellKind::Aoi22));
 
-    let mut sweep = sweep;
-    let report = sweep
-        .wait_timeout(Duration::from_secs(300))
-        .expect("composite sweep completes on a one-worker pool")
+    let timeout = Duration::from_secs(300);
+    let report = first
+        .wait_timeout(timeout)
+        .unwrap_or_else(|| panic!("{name}: first copy resolves on a one-worker pool"))
         .unwrap();
-    assert_eq!(report.rows.len(), 2 * 4);
-    assert!(before.wait().is_ok());
-    assert!(after.wait().is_ok());
+    second
+        .wait_timeout(timeout)
+        .unwrap_or_else(|| panic!("{name}: second copy resolves on a one-worker pool"))
+        .unwrap();
+    cell.wait_timeout(timeout)
+        .unwrap_or_else(|| panic!("{name}: the cell request resolves"))
+        .unwrap();
 
-    // Every row landed in the Sweeps cache (8 corners + the sweep key).
+    let expected: Vec<(usize, String)> = rows(&report)
+        .iter()
+        .enumerate()
+        .map(|(index, row)| (index, format!("{row:?}")))
+        .collect();
+    assert!(!expected.is_empty(), "{name}: the report has rows");
+    assert_eq!(
+        *fired.lock().unwrap(),
+        expected,
+        "{name}: one fire per row, in report order"
+    );
+
+    fired.lock().unwrap().clear();
+    session.run(&request(observer)).unwrap();
+    assert!(
+        fired.lock().unwrap().is_empty(),
+        "{name}: a whole-report hit fires nothing"
+    );
+    session
+}
+
+#[test]
+fn composites_do_not_deadlock_a_single_worker_pool() {
+    let session = check_composite_on_one_worker(
+        "sweep",
+        |observer| small_sweep().observe_rows(observer),
+        |report| &report.rows,
+    );
+    // 8 corners + the sweep key execute once; the second copy and the
+    // repeated run hit.
     let stats = session.stats();
-    assert_eq!(stats.sweeps.misses, 9);
+    assert_eq!((stats.sweeps.misses, stats.sweeps.hits), (9, 2));
+
+    check_composite_on_one_worker(
+        "repair",
+        |observer| {
+            RepairRequest::new([StdCellKind::Inv, StdCellKind::Nand(2)])
+                .dies(6)
+                .observe_dies(observer)
+        },
+        |report| &report.dies,
+    );
+    check_composite_on_one_worker(
+        "optimize",
+        |observer| {
+            OptimizeRequest::new([StdCellKind::Inv])
+                .grid(VariationGrid::nominal().metallic_fractions([0.0, 0.05]))
+                .target(OptimizeTarget::new().min_yield(0.9))
+                .passes(1)
+                .metrics(SweepMetrics::IMMUNITY)
+                .mc(McOptions {
+                    tubes: 50,
+                    ..Default::default()
+                })
+                .observe_candidates(observer)
+        },
+        |report| &report.candidates,
+    );
+    check_composite_on_one_worker(
+        "macro",
+        |observer| MacroRequest::new(AdderKind::Ripple, 8).observe_slices(observer),
+        |report| &report.slices,
+    );
 }
 
 #[test]

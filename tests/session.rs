@@ -443,6 +443,45 @@ fn sweep_propagates_cell_generation_errors() {
 }
 
 #[test]
+fn oversized_fanouts_are_rejected_before_anything_runs() {
+    // Every planned sub-request is allocated before any runs, so a lot or
+    // grid above the bound must be refused up front — not abort the
+    // process trying to allocate it.
+    let session = Session::new();
+    let field_of = |error: CnfetError| match error {
+        CnfetError::InvalidRequest { field, .. } => field,
+        other => panic!("expected InvalidRequest, got {other:?}"),
+    };
+    let lot = |dies| cnfet::RepairRequest::new([StdCellKind::Inv]).dies(dies);
+    for dies in [1_000_000_000_000, u64::MAX, cnfet::MAX_FANOUT as u64 + 1] {
+        assert_eq!(field_of(session.run(&lot(dies)).unwrap_err()), "dies");
+    }
+
+    // One corner past the bound, and a grid whose corner count overflows.
+    let seeds = (0..1024).collect::<Vec<u64>>();
+    let over = SweepRequest::new([StdCellKind::Inv, StdCellKind::Nand(2)])
+        .grid(VariationGrid::nominal().tube_counts(0..513).seeds(seeds));
+    assert_eq!(field_of(session.run(&over).unwrap_err()), "grid");
+    let wide = (0..1u32 << 16).collect::<Vec<u32>>();
+    let overflow = SweepRequest::new([StdCellKind::Inv]).grid(
+        VariationGrid::nominal()
+            .tube_counts(wide.iter().copied())
+            .pitch_scales(wide.iter().map(|&v| f64::from(v)))
+            .metallic_fractions(wide.iter().map(|&v| f64::from(v) / 65536.0))
+            .seeds(wide.iter().map(|&v| u64::from(v))),
+    );
+    assert_eq!(field_of(session.run(&overflow).unwrap_err()), "grid");
+
+    let endless = small_optimize().passes(u32::MAX);
+    assert_eq!(field_of(session.run(&endless).unwrap_err()), "passes");
+
+    // Refused before keying: nothing reached a cache.
+    assert_eq!(session.stats().requests(), 0);
+    // A lot within the bound still runs.
+    assert_eq!(session.run(&lot(3)).unwrap().dies.len(), 3);
+}
+
+#[test]
 fn errors_unify_under_cnfet_error() {
     let session = Session::new();
 
