@@ -17,9 +17,15 @@ use cnfet_core::SizedNetwork;
 use cnfet_core::Sizing;
 use cnfet_device::Polarity;
 use cnfet_logic::{NodeKind, PullGraph, SpNetwork};
-use cnfet_mna::{measure, Engine, PatternCache, Probe, TranSpec};
-use cnfet_spice::{to_mna, Circuit, Edge, SimError, Waveform};
+use cnfet_mna::{measure, Engine, PatternCache, Probe, StepPolicy, TranSpec};
+use cnfet_spice::{to_mna, Circuit, Edge, Node, SimError, Waveform};
 use std::sync::{Arc, OnceLock};
+
+/// Period of the characterization stimulus (s): the input pulses high for
+/// half of it, after a 0.2 ns delay.
+const PERIOD: f64 = 4e-9;
+/// Delay of the stimulus's first edge (s).
+const PULSE_DELAY: f64 = 0.2e-9;
 
 /// The process-wide pattern cache shared by all characterization calls.
 fn global_patterns() -> &'static PatternCache {
@@ -118,8 +124,16 @@ pub fn characterize_cell_at(
     loads_f: &[f64],
     corner: CharCorner,
 ) -> Result<TimingTable, SimError> {
-    characterize_with_cache(kit, cell, loads_f, corner, global_patterns(), false)
-        .map(|(table, _)| table)
+    characterize_with_cache(
+        kit,
+        cell,
+        loads_f,
+        corner,
+        global_patterns(),
+        false,
+        StepPolicy::Lattice,
+    )
+    .map(|(table, _)| table)
 }
 
 /// [`characterize_cell_at`] additionally returning the first-load
@@ -135,11 +149,106 @@ pub fn characterize_cell_traces(
     loads_f: &[f64],
     corner: CharCorner,
 ) -> Result<(TimingTable, Option<String>), SimError> {
-    characterize_with_cache(kit, cell, loads_f, corner, global_patterns(), true)
+    characterize_with_cache(
+        kit,
+        cell,
+        loads_f,
+        corner,
+        global_patterns(),
+        true,
+        StepPolicy::Lattice,
+    )
+}
+
+/// The characterization transient: 2 ps steps over 1.1 periods. Callers
+/// use [`StepPolicy::Lattice`], which keeps `dt` wherever the cell
+/// switches and steps up to 64·`dt` while it rests.
+fn char_spec(policy: StepPolicy) -> TranSpec {
+    TranSpec::new(2e-12, PERIOD * 1.1).policy(policy)
+}
+
+/// A cell's characterization circuit at one load: the pulse on input 0,
+/// side inputs tied to sensitizing rails, both pull networks, the load.
+struct CharBench {
+    ckt: Circuit,
+    vin: Node,
+    out: Node,
+    /// Index of the supply among the voltage sources.
+    supply: usize,
+}
+
+fn char_bench(kit: &DesignKit, cell: &LibCell, load_f: f64, corner: CharCorner) -> CharBench {
+    let (pdn, pun, vars) = cell.kind.networks();
+    let n_inputs = vars.len();
+    let side_mask = sensitizing_mask(&pdn, n_inputs);
+    let mut ckt = Circuit::new();
+    let vdd = ckt.node("vdd");
+    let out = ckt.node("out");
+    let vin = ckt.node("in");
+    let supply = ckt.add_vsource(vdd, Circuit::GROUND, Waveform::Dc(kit.cnfet.vdd));
+    ckt.add_vsource(
+        vin,
+        Circuit::GROUND,
+        Waveform::Pulse {
+            v0: 0.0,
+            v1: kit.cnfet.vdd,
+            delay: PULSE_DELAY,
+            rise: 10e-12,
+            fall: 10e-12,
+            width: PERIOD / 2.0,
+            period: PERIOD,
+        },
+    );
+    // Side input rails.
+    let mut input_nodes = Vec::with_capacity(n_inputs);
+    for i in 0..n_inputs {
+        if i == 0 {
+            input_nodes.push(vin);
+        } else {
+            let node = ckt.node(&format!("side{i}"));
+            let v = if side_mask >> i & 1 == 1 {
+                kit.cnfet.vdd
+            } else {
+                0.0
+            };
+            ckt.add_vsource(node, Circuit::GROUND, Waveform::Dc(v));
+            input_nodes.push(node);
+        }
+    }
+    instantiate_network(
+        kit,
+        &mut ckt,
+        &pdn,
+        Polarity::N,
+        Circuit::GROUND,
+        out,
+        &input_nodes,
+        cell.strength,
+        corner,
+    );
+    instantiate_network(
+        kit,
+        &mut ckt,
+        &pun,
+        Polarity::P,
+        vdd,
+        out,
+        &input_nodes,
+        cell.strength,
+        corner,
+    );
+    ckt.add_load(out, load_f);
+    CharBench {
+        ckt,
+        vin,
+        out,
+        supply,
+    }
 }
 
 /// The characterization engine room, parameterized over the pattern cache
-/// (tests pass a local cache to observe symbolic-analysis counts).
+/// (tests pass a local cache to observe symbolic-analysis counts) and the
+/// step policy (tests compare the lattice against fixed steps).
 fn characterize_with_cache(
     kit: &DesignKit,
     cell: &LibCell,
@@ -147,74 +256,19 @@ fn characterize_with_cache(
     corner: CharCorner,
     patterns: &PatternCache,
     retain_waveform: bool,
+    policy: StepPolicy,
 ) -> Result<(TimingTable, Option<String>), SimError> {
-    let (pdn, pun, vars) = cell.kind.networks();
-    let n_inputs = vars.len();
-    let side_mask = sensitizing_mask(&pdn, n_inputs);
-
     let mut delays = Vec::with_capacity(loads_f.len());
     let mut energy = 0.0;
     let mut waveform_table = None;
     let mut engine: Option<Engine> = None;
-    let period = 4e-9;
     for (li, &load) in loads_f.iter().enumerate() {
-        let mut ckt = Circuit::new();
-        let vdd = ckt.node("vdd");
-        let out = ckt.node("out");
-        let vin = ckt.node("in");
-        let supply = ckt.add_vsource(vdd, Circuit::GROUND, Waveform::Dc(kit.cnfet.vdd));
-        ckt.add_vsource(
+        let CharBench {
+            ckt,
             vin,
-            Circuit::GROUND,
-            Waveform::Pulse {
-                v0: 0.0,
-                v1: kit.cnfet.vdd,
-                delay: 0.2e-9,
-                rise: 10e-12,
-                fall: 10e-12,
-                width: period / 2.0,
-                period,
-            },
-        );
-        // Side input rails.
-        let mut input_nodes = Vec::with_capacity(n_inputs);
-        for i in 0..n_inputs {
-            if i == 0 {
-                input_nodes.push(vin);
-            } else {
-                let node = ckt.node(&format!("side{i}"));
-                let v = if side_mask >> i & 1 == 1 {
-                    kit.cnfet.vdd
-                } else {
-                    0.0
-                };
-                ckt.add_vsource(node, Circuit::GROUND, Waveform::Dc(v));
-                input_nodes.push(node);
-            }
-        }
-        instantiate_network(
-            kit,
-            &mut ckt,
-            &pdn,
-            Polarity::N,
-            Circuit::GROUND,
             out,
-            &input_nodes,
-            cell.strength,
-            corner,
-        );
-        instantiate_network(
-            kit,
-            &mut ckt,
-            &pun,
-            Polarity::P,
-            vdd,
-            out,
-            &input_nodes,
-            cell.strength,
-            corner,
-        );
-        ckt.add_load(out, load);
+            supply,
+        } = char_bench(kit, cell, load, corner);
 
         // Lower once per load point; the symbolic pattern comes from the
         // cache (hit on every same-topology load/corner) and the engine —
@@ -226,7 +280,7 @@ fn characterize_with_cache(
             Some(e) if Arc::ptr_eq(e.pattern(), &pattern) => e,
             slot => slot.insert(Engine::new(pattern)),
         };
-        let wave = engine.tran(&mna, &TranSpec::new(2e-12, period * 1.1))?;
+        let wave = engine.tran(&mna, &char_spec(policy))?;
 
         let (p_in, p_out) = (Probe::Node(vin.0), Probe::Node(out.0));
         let d1 = measure::propagation_delay(&wave, p_in, p_out, kit.cnfet.vdd, Edge::Rising, 0.0);
@@ -236,7 +290,7 @@ fn characterize_with_cache(
             p_out,
             kit.cnfet.vdd,
             Edge::Falling,
-            0.2e-9 + period / 2.0 - 50e-12,
+            PULSE_DELAY + PERIOD / 2.0 - 50e-12,
         );
         let avg = match (d1, d2) {
             (Some(a), Some(b)) => (a + b) / 2.0,
@@ -250,7 +304,7 @@ fn characterize_with_cache(
                 Probe::SourceCurrent(supply),
                 kit.cnfet.vdd,
                 0.0,
-                period * 1.05,
+                PERIOD * 1.05,
             );
             if retain_waveform {
                 waveform_table = Some(wave.render_table(&[
@@ -418,6 +472,7 @@ mod tests {
             CharCorner::nominal(&kit),
             &patterns,
             false,
+            StepPolicy::Lattice,
         )
         .unwrap();
         assert_eq!(patterns.symbolic_builds(), 1, "loads share one pattern");
@@ -427,7 +482,16 @@ mod tests {
                 tubes_per_4lambda: tubes,
                 pitch_scale: 0.9,
             };
-            characterize_with_cache(&kit, inv, &loads, corner, &patterns, false).unwrap();
+            characterize_with_cache(
+                &kit,
+                inv,
+                &loads,
+                corner,
+                &patterns,
+                false,
+                StepPolicy::Lattice,
+            )
+            .unwrap();
         }
         assert_eq!(
             patterns.symbolic_builds(),
@@ -443,6 +507,7 @@ mod tests {
             CharCorner::nominal(&kit),
             &patterns,
             false,
+            StepPolicy::Lattice,
         )
         .unwrap();
         assert_eq!(patterns.symbolic_builds(), 2);
@@ -458,7 +523,94 @@ mod tests {
         assert!(table.delays_s[0] > 0.0);
         let wave = wave.expect("waveform retained");
         assert!(wave.starts_with("time in out i(vdd)\n"));
-        assert!(wave.lines().count() > 100, "full transient recorded");
+        // The whole transient is recorded, up to its 4.4 ns stop.
+        let last = wave.lines().last().unwrap();
+        assert!(last.starts_with("4.400000e-9 "), "{last}");
+        assert!(wave.lines().count() > 50, "{} rows", wave.lines().count());
+    }
+
+    /// The lattice reproduces fixed 2 ps characterization on every
+    /// library cell of both schemes, across loads and corners.
+    #[test]
+    fn lattice_matches_fixed_steps_on_every_library_cell() {
+        let kit = DesignKit::cnfet65();
+        let loads = [0.3e-15, 2e-15, 15e-15];
+        let corners = [
+            CharCorner::nominal(&kit),
+            CharCorner {
+                tubes_per_4lambda: 10,
+                pitch_scale: 1.0,
+            },
+            CharCorner {
+                tubes_per_4lambda: 26,
+                pitch_scale: 0.8,
+            },
+        ];
+        let (mut worst_delay, mut worst_energy) = (0.0f64, 0.0f64);
+        let mut points = 0;
+        for scheme in [Scheme::Scheme1, Scheme::Scheme2] {
+            let lib = build_library(&kit, scheme).unwrap();
+            for name in ["NAND2_X2", "INV_X4", "INV_X9"] {
+                assert!(lib.cell(name).is_some(), "{name} is a library cell");
+            }
+            for cell in &lib.cells {
+                for corner in corners {
+                    let run = |policy| {
+                        characterize_with_cache(
+                            &kit,
+                            cell,
+                            &loads,
+                            corner,
+                            global_patterns(),
+                            false,
+                            policy,
+                        )
+                        .unwrap()
+                        .0
+                    };
+                    let (fixed, lattice) = (run(StepPolicy::Fixed), run(StepPolicy::Lattice));
+                    for (f, l) in fixed.delays_s.iter().zip(&lattice.delays_s) {
+                        assert!(*f > 0.0, "{} switches", cell.name);
+                        worst_delay = worst_delay.max((l - f).abs() / f);
+                    }
+                    worst_energy = worst_energy
+                        .max((lattice.energy_j - fixed.energy_j).abs() / fixed.energy_j);
+                    points += loads.len();
+                }
+            }
+        }
+        assert!(points >= 300, "{points} points");
+        assert!(worst_delay < 1e-4, "worst delay deviation {worst_delay:e}");
+        assert!(
+            worst_energy < 5e-3,
+            "worst energy deviation {worst_energy:e}"
+        );
+    }
+
+    /// Timestep counts of one characterization transient (INV_X9 at
+    /// 2 fF): the fixed policy takes every 2 ps step of 4.4 ns and never
+    /// rejects one; the lattice keeps a small fraction of the samples.
+    #[test]
+    fn lattice_steps_only_where_the_cell_switches() {
+        let kit = DesignKit::cnfet65();
+        let lib = build_library(&kit, Scheme::Scheme1).unwrap();
+        let inv = lib.cell("INV_X9").unwrap();
+        let bench = char_bench(&kit, inv, 2e-15, CharCorner::nominal(&kit));
+        let mna = to_mna(&bench.ckt);
+        let run = |policy| {
+            let mut engine = Engine::new(Arc::new(cnfet_mna::Pattern::analyze(&mna)));
+            let wave = engine.tran(&mna, &char_spec(policy)).unwrap();
+            let stats = engine.stats();
+            assert_eq!(stats.accepted_steps + 1, wave.len() as u64, "{policy:?}");
+            (wave.len(), stats.rejected_steps)
+        };
+        assert_eq!(run(StepPolicy::Fixed), (2202, 0));
+        let (samples, rejected) = run(StepPolicy::Lattice);
+        assert!(samples <= 300, "lattice took {samples} samples");
+        assert!(
+            rejected < samples as u64,
+            "lattice rejected {rejected} steps"
+        );
     }
 
     #[test]

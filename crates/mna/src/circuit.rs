@@ -85,6 +85,35 @@ impl SourceWave {
             }
         }
     }
+
+    /// The first corner of the waveform strictly after `after`: a pulse's
+    /// edge start or end, a PWL point. `None` for DC, or once the last
+    /// corner has passed.
+    pub(crate) fn next_breakpoint(&self, after: f64) -> Option<f64> {
+        match self {
+            SourceWave::Dc(_) => None,
+            SourceWave::Pulse {
+                delay,
+                rise,
+                fall,
+                width,
+                period,
+                ..
+            } => {
+                let corners = [0.0, *rise, rise + width, rise + width + fall];
+                // Corners of the cycle holding `after`, then of the next.
+                let (first, cycles) = if *period > 0.0 {
+                    (((after - delay) / period).floor().max(0.0), 2)
+                } else {
+                    (0.0, 1)
+                };
+                (0..cycles)
+                    .flat_map(|n| corners.map(|c| delay + (first + n as f64) * period + c))
+                    .find(|&t| t > after)
+            }
+            SourceWave::Pwl(points) => points.iter().map(|&(t, _)| t).find(|&t| t > after),
+        }
+    }
 }
 
 /// One circuit element over plain node indices; node 0 is ground.
@@ -333,6 +362,44 @@ mod tests {
         assert_eq!(w.value_at(1.5), 0.5);
         assert_eq!(w.value_at(3.0), 1.0);
         assert_eq!(w.value_at(11.5), 0.5);
+    }
+
+    #[test]
+    fn breakpoints_are_source_corners() {
+        let pulse = SourceWave::Pulse {
+            v0: 0.0,
+            v1: 1.0,
+            delay: 1.0,
+            rise: 1.0,
+            fall: 1.0,
+            width: 2.0,
+            period: 10.0,
+        };
+        let corners = |w: &SourceWave, mut t: f64, n: usize| {
+            let mut out = Vec::new();
+            for _ in 0..n {
+                t = w.next_breakpoint(t).unwrap();
+                out.push(t);
+            }
+            out
+        };
+        assert_eq!(corners(&pulse, 0.0, 6), [1.0, 2.0, 4.0, 5.0, 11.0, 12.0]);
+        assert_eq!(pulse.next_breakpoint(1e3), Some(1001.0));
+        let single = SourceWave::Pulse {
+            v0: 0.0,
+            v1: 1.0,
+            delay: 1.0,
+            rise: 1.0,
+            fall: 1.0,
+            width: 2.0,
+            period: 0.0,
+        };
+        assert_eq!(single.next_breakpoint(4.5), Some(5.0));
+        assert_eq!(single.next_breakpoint(5.0), None);
+        let pwl = SourceWave::Pwl(vec![(0.0, 0.0), (2.0, 1.0), (3.0, 0.0)]);
+        assert_eq!(corners(&pwl, 0.0, 2), [2.0, 3.0]);
+        assert_eq!(pwl.next_breakpoint(3.0), None);
+        assert_eq!(SourceWave::Dc(1.0).next_breakpoint(0.0), None);
     }
 
     #[test]

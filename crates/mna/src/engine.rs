@@ -8,7 +8,7 @@
 //! across Newton iterations and timesteps, so the steady-state transient
 //! loop performs no allocation and no fresh pivot search.
 
-use crate::circuit::MnaCircuit;
+use crate::circuit::{MnaCircuit, MnaElement};
 use crate::pattern::Pattern;
 use crate::solver::{LuFactor, SolveStats};
 use crate::stamp::{stamp_system, DynamicState, Dynamics, Method, StampSpec};
@@ -28,6 +28,11 @@ const NR_TOL: f64 = 1e-7;
 const NR_MAX_ITERS: usize = 400;
 /// DC source-ramping steps (fractions of the full source values).
 const SOURCE_RAMP_STEPS: usize = 4;
+/// Largest node-voltage change (volts) a [`StepPolicy::Lattice`] step
+/// wider than `dt` may make and still be kept.
+const LATTICE_TOL: f64 = 1e-3;
+/// Widest [`StepPolicy::Lattice`] step, in multiples of `dt`.
+const LATTICE_MAX_MULTIPLE: usize = 64;
 
 /// Analysis failures.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -55,9 +60,28 @@ impl fmt::Display for MnaError {
 
 impl std::error::Error for MnaError {}
 
+/// How [`Engine::tran`] sizes its steps. Both policies run the same
+/// loop; they differ only in the widest step it may take.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub enum StepPolicy {
+    /// Every step is `dt`: the waveform holds the whole `k·dt` time axis
+    /// (plus any halved sub-steps).
+    Fixed,
+    /// Every step is a whole multiple of `dt`, so every sample still lies
+    /// on the `k·dt` axis. While an accepted step moves no node by more
+    /// than 1 mV the multiple doubles, up to 64; a wider step that moves
+    /// more is discarded and retried at half the multiple. The multiple
+    /// drops back to 1 at every source breakpoint (pulse and PWL
+    /// corners, snapped to the axis), and single-`dt` steps are exactly
+    /// the [`StepPolicy::Fixed`] steps, halvings included. The samples
+    /// are those of `Fixed` wherever a source or node moves, and sparse
+    /// where the circuit rests.
+    Lattice,
+}
+
 /// A transient-analysis request: nominal step, stop time, integration
-/// method, and how far the engine may locally halve a non-converging
-/// step before giving up.
+/// method, step policy, and how far the engine may locally halve a
+/// non-converging step before giving up.
 #[derive(Clone, Copy, Debug)]
 pub struct TranSpec {
     /// Nominal timestep (s).
@@ -70,17 +94,26 @@ pub struct TranSpec {
     /// step). Accepted sub-steps are recorded, so the waveform's time axis
     /// stays strictly monotone but need not be uniform.
     pub max_halvings: u32,
+    /// How steps are sized.
+    pub policy: StepPolicy,
 }
 
 impl TranSpec {
-    /// Backward-Euler transient with up to 4 local halvings.
+    /// Fixed-step backward-Euler transient with up to 4 local halvings.
     pub fn new(dt: f64, t_stop: f64) -> TranSpec {
         TranSpec {
             dt,
             t_stop,
             method: Method::BackwardEuler,
             max_halvings: 4,
+            policy: StepPolicy::Fixed,
         }
+    }
+
+    /// Selects the step policy.
+    pub fn policy(mut self, policy: StepPolicy) -> TranSpec {
+        self.policy = policy;
+        self
     }
 
     /// Selects the integration method.
@@ -106,6 +139,10 @@ pub struct Engine {
     b: Vec<f64>,
     x: Vec<f64>,
     saved: Vec<f64>,
+    /// The solution at the start of the current lattice step.
+    start: Vec<f64>,
+    accepted_steps: u64,
+    rejected_steps: u64,
 }
 
 impl Engine {
@@ -117,6 +154,9 @@ impl Engine {
             b: vec![0.0; dim],
             x: vec![0.0; dim],
             saved: vec![0.0; dim],
+            start: vec![0.0; dim],
+            accepted_steps: 0,
+            rejected_steps: 0,
             pattern,
         }
     }
@@ -126,11 +166,24 @@ impl Engine {
         &self.pattern
     }
 
-    /// Factorization-work counters accumulated over this engine's life —
-    /// `refactorizations` dominating `factorizations` is the
-    /// pivot-order-reuse contract at work.
+    /// Work counters accumulated over this engine's life: factorizations
+    /// and solves — `refactorizations` dominating `factorizations` is the
+    /// pivot-order-reuse contract at work — and transient timesteps.
     pub fn stats(&self) -> SolveStats {
-        self.lu.stats()
+        SolveStats {
+            accepted_steps: self.accepted_steps,
+            rejected_steps: self.rejected_steps,
+            ..self.lu.stats()
+        }
+    }
+
+    /// The largest node-voltage change since the current step started.
+    fn node_change(&self) -> f64 {
+        let n_nodes = self.pattern.n_nodes();
+        self.x[..n_nodes]
+            .iter()
+            .zip(&self.start[..n_nodes])
+            .fold(0.0, |max, (x, s)| f64::max(max, (x - s).abs()))
     }
 
     /// One Newton solve; `self.x` holds the initial guess and, on
@@ -221,6 +274,21 @@ impl Engine {
         Ok(volts)
     }
 
+    /// Keeps the converged solution of a step of size `dt` ending at `t`.
+    fn accept(
+        &mut self,
+        circuit: &MnaCircuit,
+        t: f64,
+        dt: f64,
+        method: Method,
+        state: &mut DynamicState,
+        wave: &mut Waveform,
+    ) {
+        state.accept(&self.pattern, circuit, &self.x, method, dt);
+        wave.push(t, &self.x);
+        self.accepted_steps += 1;
+    }
+
     /// Advances one step of size `dt` from time `t0`; on convergence
     /// failure, locally halves the step (recording the accepted interior
     /// points) up to `halvings` deep.
@@ -251,12 +319,12 @@ impl Engine {
         );
         match attempt {
             Ok(()) => {
-                state.accept(&self.pattern, circuit, &self.x, method, dt);
-                wave.push(t0 + dt, &self.x);
+                self.accept(circuit, t0 + dt, dt, method, state, wave);
                 Ok(())
             }
             Err(MnaError::NoConvergence { .. }) if halvings > 0 => {
                 // Retry from the last accepted solution at half the step.
+                self.rejected_steps += 1;
                 self.x.copy_from_slice(&self.saved);
                 let half = dt / 2.0;
                 self.advance(circuit, t0, half, method, halvings - 1, step, state, wave)?;
@@ -276,7 +344,7 @@ impl Engine {
     }
 
     /// Runs a transient analysis from the DC operating point, recording a
-    /// strictly monotone [`Waveform`].
+    /// strictly monotone [`Waveform`] whose steps follow `spec.policy`.
     ///
     /// # Errors
     ///
@@ -294,31 +362,114 @@ impl Engine {
         );
         self.dc(circuit)?; // leaves self.x at the operating point
         let mut state = DynamicState::init(&self.pattern, &self.x);
-        let capacity = (spec.t_stop / spec.dt).ceil() as usize + 1;
+        // Nominal times come from the grid index (`k·dt`, not
+        // accumulation), clamped to `t_stop` so the run ends exactly there
+        // regardless of how `t_stop/dt` rounds. `k_end` is the first index
+        // at or past `t_stop`.
+        let mut k_end = (spec.t_stop / spec.dt).ceil() as usize;
+        if (k_end as f64 * spec.dt) < spec.t_stop {
+            k_end = k_end.saturating_add(1);
+        }
+        let (max_multiple, capacity) = match spec.policy {
+            StepPolicy::Fixed => (1, k_end.saturating_add(1)),
+            // The lattice's sample count depends on the circuit, not on
+            // `t_stop/dt`: its waveform grows as it goes.
+            StepPolicy::Lattice => (LATTICE_MAX_MULTIPLE, 0),
+        };
+        let lattice = max_multiple > 1;
         let mut wave = Waveform::new(&self.pattern, capacity);
         wave.push(0.0, &self.x);
-        // Nominal times come from the step index (`k·dt`, not
-        // accumulation), clamped to `t_stop` so the run ends exactly there
-        // regardless of how `t_stop/dt` rounds.
+        let breakpoint_after = |k: usize| {
+            if lattice {
+                next_breakpoint_index(circuit, spec.dt, k)
+            } else {
+                None
+            }
+        };
+        let mut next_break = breakpoint_after(0);
+        let mut multiple = 1;
         let mut t0 = 0.0;
         let mut k = 0usize;
         while t0 < spec.t_stop {
-            k += 1;
-            let t1 = (k as f64 * spec.dt).min(spec.t_stop);
-            self.advance(
-                circuit,
-                t0,
-                t1 - t0,
-                spec.method,
-                spec.max_halvings,
-                k,
-                &mut state,
-                &mut wave,
-            )?;
+            let k1 = (k + multiple)
+                .min(k_end)
+                .min(next_break.unwrap_or(usize::MAX));
+            let t1 = (k1 as f64 * spec.dt).min(spec.t_stop);
+            if lattice {
+                self.start.copy_from_slice(&self.x);
+            }
+            if k1 == k + 1 {
+                self.advance(
+                    circuit,
+                    t0,
+                    t1 - t0,
+                    spec.method,
+                    spec.max_halvings,
+                    k1,
+                    &mut state,
+                    &mut wave,
+                )?;
+            } else {
+                let solved = self.newton(
+                    circuit,
+                    t1,
+                    1.0,
+                    GMIN,
+                    Dynamics::Tran {
+                        method: spec.method,
+                        dt: t1 - t0,
+                        state: &state,
+                    },
+                    k1,
+                );
+                match solved {
+                    Ok(()) if self.node_change() <= LATTICE_TOL => {
+                        self.accept(circuit, t1, t1 - t0, spec.method, &mut state, &mut wave);
+                    }
+                    Ok(()) | Err(MnaError::NoConvergence { .. }) => {
+                        self.x.copy_from_slice(&self.start);
+                        self.rejected_steps += 1;
+                        multiple = (k1 - k) / 2;
+                        continue;
+                    }
+                    Err(e) => return Err(e),
+                }
+            }
+            if next_break == Some(k1) {
+                next_break = breakpoint_after(k1);
+                multiple = 1;
+            } else if lattice && self.node_change() <= LATTICE_TOL {
+                multiple = (2 * multiple).min(max_multiple);
+            }
+            k = k1;
             t0 = t1;
         }
         Ok(wave)
     }
+}
+
+/// The grid index of the first source breakpoint after grid index `k`. A
+/// breakpoint within a millionth of `dt` of the grid snaps to it; one
+/// between grid points maps to the index before it, so the single-`dt`
+/// step that crosses it is the one the fixed policy takes.
+fn next_breakpoint_index(circuit: &MnaCircuit, dt: f64, k: usize) -> Option<usize> {
+    const SNAP: f64 = 1e-6;
+    let after = (k as f64 + 1.0 - SNAP) * dt;
+    let t = circuit
+        .elements()
+        .iter()
+        .filter_map(|e| match e {
+            MnaElement::VSource { wave, .. } => wave.next_breakpoint(after),
+            _ => None,
+        })
+        .min_by(f64::total_cmp)?;
+    let x = t / dt;
+    let index = if (x - x.round()).abs() <= SNAP {
+        x.round()
+    } else {
+        x.floor()
+    };
+    Some((index as usize).max(k + 1))
 }
 
 #[cfg(test)]
@@ -401,6 +552,117 @@ mod tests {
             assert_eq!(stats.pivot_rebuilds, 0);
             assert!(stats.refactorizations > 2000, "{stats:?}");
         }
+    }
+
+    /// Two RC stages driven by a periodic pulse and by a PWL ramp with one
+    /// corner between grid points.
+    fn lattice_probe() -> MnaCircuit {
+        let mut c = MnaCircuit::new();
+        c.vsource(
+            1,
+            0,
+            SourceWave::Pulse {
+                v0: 0.0,
+                v1: 1.0,
+                delay: 100e-12,
+                rise: 2e-12,
+                fall: 2e-12,
+                width: 500e-12,
+                period: 1e-9,
+            },
+        );
+        c.resistor(1, 2, 1e3);
+        c.capacitor(2, 0, 20e-15); // tau = 20 ps
+        c.vsource(
+            3,
+            0,
+            SourceWave::Pwl(vec![(0.0, 0.0), (1.3e-9, 0.0), (1.4001e-9, 1.0)]),
+        );
+        c.resistor(3, 4, 1e3);
+        c.capacitor(4, 0, 20e-15);
+        c
+    }
+
+    #[test]
+    fn lattice_time_axis_is_a_monotone_subset_of_the_grid() {
+        let c = lattice_probe();
+        let (dt, t_stop) = (2e-12, 3.001e-9);
+        let mut e = engine_for(&c);
+        let wave = e
+            .tran(&c, &TranSpec::new(dt, t_stop).policy(StepPolicy::Lattice))
+            .unwrap();
+        let time = wave.time();
+        assert_eq!(time[0], 0.0);
+        assert_eq!(*time.last().unwrap(), t_stop);
+        assert!(time.windows(2).all(|w| w[1] > w[0]), "strictly increasing");
+        // Every sample before `t_stop` is exactly a `k·dt` grid point.
+        for &t in &time[..time.len() - 1] {
+            assert_eq!(t, (t / dt).round() * dt, "{t} is off the grid");
+        }
+        // Every on-grid breakpoint is a sample: the pulse's four corners
+        // in each of its three periods, and the PWL's first corner.
+        let mut breakpoints = vec![1.3e-9];
+        for n in 0..3 {
+            let start = 100e-12 + n as f64 * 1e-9;
+            breakpoints.extend([0.0, 2e-12, 502e-12, 504e-12].map(|c| start + c));
+        }
+        for b in breakpoints {
+            assert!(
+                time.iter().any(|&t| (t - b).abs() < 1e-6 * dt),
+                "breakpoint {b} is not a sample"
+            );
+        }
+        // The off-grid corner at 1.4001 ns is crossed by a single `dt`.
+        let after = time.iter().position(|&t| t > 1.4001e-9).unwrap();
+        assert!((time[after] - time[after - 1] - dt).abs() < 1e-6 * dt);
+        // Far fewer samples than the grid, every one accounted for.
+        let stats = e.stats();
+        assert!(wave.len() * 2 < 1501, "{} samples", wave.len());
+        assert_eq!(stats.accepted_steps + 1, wave.len() as u64);
+    }
+
+    /// The lattice against the RC closed form and against fixed steps.
+    #[test]
+    fn lattice_rc_matches_analytic_and_fixed_steps() {
+        let c = lattice_probe();
+        let (dt, t_stop) = (0.5e-12, 1e-9);
+        let tau = 20e-12;
+        // Ideal steps at the middle of the first pulse's 2 ps edges.
+        let (t_on, t_off) = (101e-12, 603e-12);
+        let analytic = |t: f64| {
+            let rise = |t: f64| 1.0 - (-(t - t_on) / tau).exp();
+            if t < t_on {
+                0.0
+            } else if t < t_off {
+                rise(t)
+            } else {
+                rise(t_off) * (-(t - t_off) / tau).exp()
+            }
+        };
+        let run = |policy| {
+            engine_for(&c)
+                .tran(&c, &TranSpec::new(dt, t_stop).policy(policy))
+                .unwrap()
+        };
+        let (fixed, lattice) = (run(StepPolicy::Fixed), run(StepPolicy::Lattice));
+        assert!(lattice.len() * 4 < fixed.len(), "{}", lattice.len());
+        let mut worst = 0.0f64;
+        for (k, &t) in lattice.time().iter().enumerate() {
+            let got = lattice.voltage(2)[k];
+            if (t - t_on).abs() > 10e-12 && (t - t_off).abs() > 10e-12 {
+                let expected = analytic(t);
+                assert!(
+                    (got - expected).abs() < 0.01,
+                    "t={t}: got {got}, expected {expected}"
+                );
+            }
+            let j = fixed.time().iter().position(|&f| f == t).unwrap();
+            worst = worst.max((got - fixed.voltage(2)[j]).abs());
+        }
+        assert!(
+            worst < LATTICE_TOL,
+            "worst deviation from fixed steps {worst:e} V"
+        );
     }
 
     /// Series RLC step response against the underdamped analytic form.

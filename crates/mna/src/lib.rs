@@ -20,7 +20,9 @@
 //! Transient analysis ([`Engine::tran`]) integrates capacitors and
 //! inductors through companion models (backward-Euler or trapezoidal,
 //! see [`Method`]) with local timestep halving on convergence failure,
-//! recording a strictly monotone [`Waveform`] with typed [`Probe`]s. AC
+//! stepping every `dt` or, under [`StepPolicy::Lattice`], by multiples of
+//! `dt` where the circuit rests, and records a strictly monotone
+//! [`Waveform`] with typed [`Probe`]s. AC
 //! analysis ([`Engine::ac`]) linearizes about the DC operating point and
 //! sweeps a log frequency grid through a real 2n×2n embedding of the
 //! complex system. The [`measure`] module extracts `.measure`-style
@@ -56,7 +58,7 @@ mod waveform;
 
 pub use ac::{AcResult, AcSpec};
 pub use circuit::{MnaCircuit, MnaElement, SourceWave};
-pub use engine::{Engine, MnaError, TranSpec, GMIN};
+pub use engine::{Engine, MnaError, StepPolicy, TranSpec, GMIN};
 pub use pattern::{Pattern, PatternCache};
 pub use solver::{LuFactor, Singular, SolveStats};
 pub use stamp::Method;

@@ -27,7 +27,7 @@ impl std::fmt::Display for Singular {
 
 impl std::error::Error for Singular {}
 
-/// Counters describing how much factorization work a solver instance did.
+/// Counters describing how much work a solver instance did.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct SolveStats {
     /// Full factorizations with fresh partial pivoting.
@@ -39,6 +39,13 @@ pub struct SolveStats {
     pub pivot_rebuilds: u64,
     /// Triangular solves.
     pub solves: u64,
+    /// Transient timesteps kept, halved sub-steps included (always zero
+    /// from [`LuFactor::stats`]; [`crate::Engine::stats`] fills it).
+    pub accepted_steps: u64,
+    /// Transient timesteps discarded and retried smaller: a Newton
+    /// failure before a halving, or a [`crate::StepPolicy::Lattice`] step
+    /// that moved a node too far (always zero from [`LuFactor::stats`]).
+    pub rejected_steps: u64,
 }
 
 /// Preallocated dense LU working set: stamp into it, factor (or refactor)

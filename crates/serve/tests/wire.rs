@@ -546,6 +546,37 @@ fn oversized_fanouts_answer_400_and_the_server_lives() {
 }
 
 #[test]
+fn oversized_transients_answer_400_and_the_server_lives() {
+    // A fixed-step transient allocates every step before it runs: 10^18
+    // steps must be refused as a field-path 400, not abort the server.
+    let server = server();
+    let mut client = Client::new(server.addr());
+    let tran = Json::obj([
+        ("type", Json::str("tran")),
+        ("deck", Json::str("V1 a 0 DC 1\n.end")),
+        ("dt", Json::from(1e-18)),
+        ("t_stop", Json::from(1.0)),
+    ]);
+    let response = client
+        .request("POST", "/v1/run")
+        .body(&tran)
+        .send()
+        .unwrap();
+    assert_eq!(response.status, 400);
+    let error = response.body.get("error").unwrap();
+    assert_eq!(error.get("kind").unwrap().as_str(), Some("invalid_request"));
+    let message = error.get("message").unwrap().as_str().unwrap();
+    assert!(message.contains("t_stop:"), "{message}");
+    let health = client
+        .request("GET", "/v1/healthz")
+        .send()
+        .unwrap()
+        .expect_status(200);
+    assert_eq!(health.get("ok").unwrap().as_bool(), Some(true));
+    server.shutdown();
+}
+
+#[test]
 fn head_and_foreign_methods_route_sanely() {
     let server = server();
     // HEAD answers like GET with no payload — the load-balancer probe.

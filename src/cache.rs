@@ -444,34 +444,10 @@ impl<K: Clone + Eq + Hash, V: Clone> ShardedCache<K, V> {
         let mut state = shard.state.lock().expect("cache shard lock");
         let result = match built {
             Ok(value) => {
-                let tick = shard.tick.fetch_add(1, Ordering::Relaxed) + 1;
-                shard.mutate_buckets(|buckets| {
-                    // The key cannot already be resident: its hash was
-                    // held in `in_flight`, so every same-hash requester
-                    // waited and re-checked above.
-                    buckets.entry(hash).or_default().push((
-                        key.clone(),
-                        Stored {
-                            value: value.clone(),
-                            last_used: AtomicU64::new(tick),
-                        },
-                    ));
-                    state.len += 1;
-                    // Counted while the lock is held (insert and miss are
-                    // one atomic step to mutex-taking observers): a stats
-                    // snapshot can never see the entry without its miss,
-                    // or the miss without its entry —
-                    // `misses >= entries + evictions` holds at every
-                    // instant.
-                    shard.misses.fetch_add(1, Ordering::Relaxed);
-                    while state.len > self.shard_capacity {
-                        if !Self::evict_lru(buckets) {
-                            break;
-                        }
-                        state.len -= 1;
-                        shard.evictions.fetch_add(1, Ordering::Relaxed);
-                    }
-                });
+                // The key cannot already be resident: its hash was held in
+                // `in_flight`, so every same-hash requester waited and
+                // re-checked above.
+                self.insert(shard, &mut state, hash, key.clone(), value.clone());
                 Ok((value, false))
             }
             // Waiters re-check and the next one retries the build.
@@ -480,6 +456,42 @@ impl<K: Clone + Eq + Hash, V: Clone> ShardedCache<K, V> {
         drop(state);
         drop(claim);
         result
+    }
+
+    /// Inserts an entry that is not resident, counting it as a miss and
+    /// evicting least-recently-used entries past the shard bound. The
+    /// caller holds the shard mutex; `state` is its guarded state.
+    fn insert(&self, shard: &Shard<K, V>, state: &mut ShardState, hash: u64, key: K, value: V) {
+        let tick = shard.tick.fetch_add(1, Ordering::Relaxed) + 1;
+        shard.mutate_buckets(|buckets| {
+            // A new bucket holds exactly one entry: full 64-bit hashes
+            // rarely collide, and `Vec`'s first growth would reserve room
+            // for three more whole keys and values that never come.
+            buckets
+                .entry(hash)
+                .or_insert_with(|| Vec::with_capacity(1))
+                .push((
+                    key,
+                    Stored {
+                        value,
+                        last_used: AtomicU64::new(tick),
+                    },
+                ));
+            state.len += 1;
+            // Counted while the lock is held (insert and miss are one
+            // atomic step to mutex-taking observers): a stats snapshot
+            // can never see the entry without its miss, or the miss
+            // without its entry — `misses >= entries + evictions` holds
+            // at every instant.
+            shard.misses.fetch_add(1, Ordering::Relaxed);
+            while state.len > self.shard_capacity {
+                if !Self::evict_lru(buckets) {
+                    break;
+                }
+                state.len -= 1;
+                shard.evictions.fetch_add(1, Ordering::Relaxed);
+            }
+        });
     }
 
     /// Removes the least-recently-used entry from the bucket table
@@ -555,25 +567,7 @@ impl<K: Clone + Eq + Hash, V: Clone> ShardedCache<K, V> {
                 }
             }
         }
-        let tick = shard.tick.fetch_add(1, Ordering::Relaxed) + 1;
-        shard.mutate_buckets(|buckets| {
-            buckets.entry(hash).or_default().push((
-                key,
-                Stored {
-                    value,
-                    last_used: AtomicU64::new(tick),
-                },
-            ));
-            state.len += 1;
-            shard.misses.fetch_add(1, Ordering::Relaxed);
-            while state.len > self.shard_capacity {
-                if !Self::evict_lru(buckets) {
-                    break;
-                }
-                state.len -= 1;
-                shard.evictions.fetch_add(1, Ordering::Relaxed);
-            }
-        });
+        self.insert(shard, &mut state, hash, key, value);
     }
 
     /// Entries currently resident across all shards.
@@ -651,6 +645,27 @@ mod tests {
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses), (1, 1));
         assert_eq!(stats.entries, 1);
+    }
+
+    #[test]
+    fn new_buckets_allocate_exactly_their_entries() {
+        let cache: ShardedCache<u32, u32> = ShardedCache::new(1024, 4);
+        for k in 0..500 {
+            cache.get_or_build(&k, ok(k)).unwrap();
+        }
+        for k in 500..600 {
+            cache.seed(k, k);
+        }
+        assert_eq!(cache.len(), 600);
+        for shard in &cache.shards {
+            let _state = shard.state.lock().expect("cache shard lock");
+            // SAFETY: the shard mutex is held, so no write section is
+            // active.
+            let buckets = unsafe { shard.read_buckets() };
+            for bucket in buckets.values() {
+                assert_eq!(bucket.capacity(), bucket.len());
+            }
+        }
     }
 
     #[test]

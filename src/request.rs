@@ -511,6 +511,16 @@ impl SessionRequest for TranRequest {
                 self.t_stop
             )));
         }
+        if self.t_stop / self.dt > crate::MAX_TRAN_STEPS as f64 {
+            return Err(CnfetError::InvalidRequest {
+                field: "t_stop".to_string(),
+                message: format!(
+                    "expected at most {} steps of dt, got {:e}",
+                    crate::MAX_TRAN_STEPS,
+                    self.t_stop / self.dt
+                ),
+            });
+        }
         let circuit = crate::spice::Circuit::from_spice(&self.deck)?;
         let probes: Vec<(String, usize)> = if self.probes.is_empty() {
             (1..circuit.node_count())

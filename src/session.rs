@@ -336,7 +336,8 @@ pub struct TranRequest {
     pub deck: String,
     /// Nominal timestep, seconds (must be positive and finite).
     pub dt: f64,
-    /// Stop time, seconds (must be positive and finite).
+    /// Stop time, seconds (must be positive and finite, and at most
+    /// [`MAX_TRAN_STEPS`] steps of `dt`).
     pub t_stop: f64,
     /// Node names to record. Empty records every non-ground node in deck
     /// order. An unknown name fails with
@@ -1118,6 +1119,13 @@ impl Session {
 /// [`CnfetError::InvalidRequest`](crate::CnfetError::InvalidRequest)
 /// before its cache key is rendered, instead of exhausting memory.
 pub const MAX_FANOUT: usize = 1 << 20;
+
+/// The most `dt` steps one [`TranRequest`] may span (`t_stop / dt`). Its
+/// fixed-step waveform is allocated for every step before the first one
+/// runs, so a request over the bound is rejected as
+/// [`CnfetError::InvalidRequest`](crate::CnfetError::InvalidRequest) at
+/// field `t_stop` instead of exhausting memory.
+pub const MAX_TRAN_STEPS: usize = 1 << 20;
 
 /// How long a harvest blocks on a pending handle when its own batch has
 /// nothing queued to help with (the sub-request is mid-flight on another
